@@ -66,6 +66,7 @@ from .oracle import (
     enumerate_cycles_check,
     exact_tsp,
     mst_bounds,
+    reference_blocking,
 )
 from .experiments import (
     AlgorithmSpec,

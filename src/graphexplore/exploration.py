@@ -16,6 +16,23 @@ newly explored vertex and walking back afterwards.
 
 The engine only ever reads adjacency of explored vertices; an auditing view
 counts every adjacency read and raises if that discipline is broken.
+
+Four exact facts let the engine skip work without changing any decision:
+
+1. Edges into an unexplored v leave the boundary only when v is explored,
+   so minw[v], the lightest boundary edge into v, can only fall while v is
+   unexplored.  It is kept per vertex and read in O(1).
+2. If minw[v] < w(e), the lightest boundary edge at v is not e.  A witness
+   at e's own far end therefore never needs e excluded from the minimum.
+3. The witness sweep runs just before x is explored, so a witness x it
+   records can never again confirm "blocked" from the cache; the sweep
+   writes the records the invocation at x needs, not cache entries.
+4. Witness records only cache verdicts (distances only shrink and minw only
+   falls), so which Dijkstra finds a witness, and when, changes no decision.
+
+One Dijkstra kernel serves every distance question.  It pushes only explored
+vertices onto its heap and keeps tentative distances of unexplored leaves in
+a dict: a path may end at a leaf but never passes through one.
 """
 
 from __future__ import annotations
@@ -24,11 +41,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappush, heappop
+from typing import NamedTuple
 
 from .core import (
     INF,
     EdgeSubset,
     Graph,
+    _dijkstra,
     as_fraction,
     mst_maximizing_overlap,
     require_connected,
@@ -117,7 +136,8 @@ class OnlineView:
     """Gatekeeper between the engine and the hidden graph.
 
     Grants adjacency only for explored vertices, counting every read.  A read
-    of an unexplored vertex's neighborhood is an engine bug and raises.
+    of an unexplored vertex's neighborhood is an engine bug and raises.  The
+    Dijkstra kernel performs the same check and count inline.
     """
 
     __slots__ = ("_adj", "explored", "adjacency_reads")
@@ -140,24 +160,39 @@ class OnlineView:
 class ExplorationState:
     """Explored/learned sets, oriented boundary, and blocking bookkeeping.
 
-    blocker_records[e] collects, per boundary edge e, every unexplored
-    endpoint v' of an edge observed to block e at some evaluation; reaching
+    Boundary edges live in flat per-edge lists: src[e] is the explored
+    endpoint and far[e] the unexplored one (-1 for edges never on the
+    boundary); e is on the boundary while far[e] is unexplored.  out[u] and
+    into[v] list the boundary edges at explored u and unexplored v.  For an
+    explored u, inner[u] lists the (neighbour, edge, weight) entries of its
+    explored neighbours, in adjacency order per neighbour: out[u] and
+    inner[u] together are u's adjacency, learned when u was explored.
+
+    blocker_records[e] collects, per boundary edge e, unexplored endpoints v'
+    of edges seen to block e: every v' found by a blocked check, and every
+    v' that blocks e just before v' is explored (the witness sweep).  The
+    sweep alone already covers every pair that can re-activate e at v' (a
+    pair, once valid, stays valid while e stays on the boundary and v'
+    stays unexplored: facts 1 and 4), so for re-activation the checks'
+    records are redundant; they serve as witness-cache entries.  Reaching
     such a v' later re-activates e for the invocation started there.
     """
 
     def __init__(self, g: Graph, position: int):
-        n = g.n
+        n, m = g.n, g.edge_count
         self.g = g
         self.explored = [False] * n
         self.learned = [False] * n
         self.explored_count = 0
-        # eid -> (explored endpoint, unexplored endpoint, scaled weight)
-        self.boundary: dict[int, tuple[int, int, int]] = {}
-        self.b_by_expl: dict[int, set[int]] = {}
-        self.b_by_unexpl: dict[int, set[int]] = {}
+        self.src = [-1] * m
+        self.far = [-1] * m
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        self.into: list[list[int]] = [[] for _ in range(n)]
+        self.inner: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self.minw: list[int | None] = [None] * n
         self.blocker_records: dict[int, set[int]] = {}
         self.rec_by_witness: dict[int, set[int]] = {}
-        # working copies of blocker_records used for O(1) re-confirmation
+        # witness cache: recorded blockers still worth re-confirming, per edge
         self._active_wit: dict[int, list[int]] = {}
         self._maxw_heap: list[tuple[int, int]] = []
         self._minw_heap: list[tuple[int, int]] = []
@@ -193,49 +228,60 @@ class ExplorationState:
         return st
 
     def mark_explored(self, v: int) -> None:
-        if self.explored[v]:
+        explored = self.explored
+        if explored[v]:
             raise StateError(f"vertex {v} already explored")
-        self.explored[v] = True
+        explored[v] = True
         self.explored_count += 1
         self.learned[v] = True
         # edges into v stop being boundary; edges to unexplored vertices start
-        for eid in tuple(self.b_by_unexpl.get(v, ())):
-            u, _, _ = self.boundary.pop(eid)
-            self.b_by_expl[u].discard(eid)
-        self.b_by_unexpl.pop(v, None)
-        for other, eid, w in self.view.incident(v):
+        src, out, into, minw = self.src, self.out, self.into, self.minw
+        for eid in into[v]:
+            out[src[eid]].remove(eid)
+        into[v] = []
+        minw[v] = None
+        far, inner = self.far, self.inner
+        mine = out[v]
+        for entry in self.view.incident(v):
+            other, eid, w = entry
             self.learned[other] = True
-            if not self.explored[other]:
-                self.boundary[eid] = (v, other, w)
-                self.b_by_expl.setdefault(v, set()).add(eid)
-                self.b_by_unexpl.setdefault(other, set()).add(eid)
+            if explored[other]:
+                inner[v].append(entry)
+                inner[other].append((v, eid, w))
+            else:
+                src[eid] = v
+                far[eid] = other
+                mine.append(eid)
+                into[other].append(eid)
+                m = minw[other]
+                if m is None or w < m:
+                    minw[other] = w
                 heappush(self._maxw_heap, (-w, eid))
                 heappush(self._minw_heap, (w, eid))
 
+    def on_boundary(self, eid: int) -> bool:
+        f = self.far[eid]
+        return f >= 0 and not self.explored[f]
+
     def max_boundary_weight_scaled(self) -> int | None:
         heap = self._maxw_heap
+        far, explored = self.far, self.explored
         while heap:
             w, eid = heap[0]
-            if eid in self.boundary:
+            if not explored[far[eid]]:
                 return -w
             heappop(heap)
         return None
 
     def min_boundary_weight_scaled(self) -> int | None:
         heap = self._minw_heap
+        far, explored = self.far, self.explored
         while heap:
             w, eid = heap[0]
-            if eid in self.boundary:
+            if not explored[far[eid]]:
                 return w
             heappop(heap)
         return None
-
-    def min_weight_at(self, v: int) -> int | None:
-        """Lightest boundary edge whose unexplored endpoint is v (scaled)."""
-        eids = self.b_by_unexpl.get(v)
-        if not eids:
-            return None
-        return min(self.boundary[e][2] for e in eids)
 
     def record_witness(self, eid: int, v: int) -> None:
         rec = self.blocker_records.setdefault(eid, set())
@@ -256,11 +302,11 @@ class ExplorationState:
         if not lst:
             return False
         explored = self.explored
+        minw = self.minw
         for i, v in enumerate(lst):
             if explored[v]:
                 continue
-            bw = self.min_weight_at(v)
-            if bw is not None and bw < w_scaled:
+            if minw[v] < w_scaled:
                 if i:
                     lst[0], lst[i] = lst[i], lst[0]
                 return True
@@ -268,39 +314,46 @@ class ExplorationState:
         lst[:] = [v for v in lst if not explored[v]]
         return False
 
-    def check_invariants(self) -> None:
-        g = self.g
-        for v in range(g.n):
-            if self.explored[v] and not self.learned[v]:
-                raise InvariantViolation("explored-subset-learned", witness=v)
-        for eid, (u, v, w) in self.boundary.items():
-            a, b = g.endpoints(eid)
-            if {a, b} != {u, v} or not self.explored[u] or self.explored[v]:
-                raise InvariantViolation("boundary-orientation", witness=eid)
-            if not self.learned[v]:
-                raise InvariantViolation("boundary-endpoint-learned", witness=eid)
-        if not self.explored[self.position]:
-            raise InvariantViolation("position-explored", witness=self.position)
-
 
 # ---------------------------------------------------------------------------
 # internally explored Dijkstra on top of a state
 
-def _run_dijkstra(state: ExplorationState, seeds, radius=None, target=None, parents=False):
-    """Dijkstra that only relaxes out of explored vertices.
+def _dijkstra_explored(
+    state: ExplorationState,
+    seeds,
+    radius=None,
+    target=-1,
+    parents=False,
+    stop_leaf=None,
+    want_leaves=False,
+):
+    """Dijkstra whose paths pass through explored vertices only.
 
-    seeds: (scaled distance, vertex) pairs.  Returns (settled, gen); exact
-    distances exist for settled vertices via state._dj_dist and are valid for
-    this generation stamp only.
+    seeds: (scaled distance, explored vertex) pairs.  Only explored vertices
+    enter the heap, relaxed over state.inner; an unexplored neighbour, found
+    over state.out, is a leaf whose tentative distance lives in the returned
+    dict (with want_leaves or stop_leaf) and is never expanded.  Returns
+    (settled, leaves): settled lists the explored vertices in settling order,
+    their exact distances in state._dj_dist under this call's stamp.
+
+    Vertices settle in (distance, id) order.  The search stops before
+    settling a vertex beyond `radius`, after settling `target` (which is then
+    not expanded), or, with stop_leaf, once the best leaf (stop_leaf >= 0:
+    that vertex; -1: any leaf) would settle before the next explored vertex.
+    Leaf distances up to the stopping point are then exact.  Every expansion
+    counts one adjacency read; an unexplored vertex is never expanded.
     """
     state._gen += 1
     gen = state._gen
+    done = -gen
     stamp = state._dj_stamp
     dist = state._dj_dist
     pare = state._dj_pare
     parv = state._dj_parv
     explored = state.explored
-    view = state.view
+    inner, out, far, iw = state.inner, state.out, state.far, state.g._iw
+    # heap keys encode (d, u) as d * n + u: one int compares like the pair
+    n = len(explored)
     heap = []
     for d0, s in seeds:
         if stamp[s] != gen or d0 < dist[s]:
@@ -309,32 +362,69 @@ def _run_dijkstra(state: ExplorationState, seeds, radius=None, target=None, pare
             if parents:
                 pare[s] = -1
                 parv[s] = -1
-            heappush(heap, (d0, s))
+            heappush(heap, d0 * n + s)
+    want_leaves = want_leaves or stop_leaf is not None
+    # no key at or beyond `cut` is settled
+    cut = INF if radius is None else (radius + 1) * n
+    leaves: dict[int, int] = {}
     settled = []
+    reads = 0
     while heap:
-        d, u = heappop(heap)
-        if stamp[u] != gen or d > dist[u]:
-            continue
-        if radius is not None and d > radius:
+        key = heappop(heap)
+        if key >= cut:
             break
+        u = key % n
+        if stamp[u] == done:
+            continue  # a stale entry: u settled from a smaller key
+        stamp[u] = done
         settled.append(u)
-        stamp[u] = -gen  # mark settled
         if u == target:
             break
         if not explored[u]:
-            continue
-        for other, eid, w in view.incident(u):
-            if stamp[other] == -gen:
+            state.view.adjacency_reads += reads
+            raise OnlinePurityError(f"adjacency of unexplored vertex {u} requested")
+        reads += 1
+        d = key // n
+        for other, eid, w in inner[u]:
+            s = stamp[other]
+            if s == done:
                 continue
             nd = d + w
-            if stamp[other] != gen or nd < dist[other]:
+            if s != gen or nd < dist[other]:
                 stamp[other] = gen
                 dist[other] = nd
                 if parents:
                     pare[other] = eid
                     parv[other] = u
-                heappush(heap, (nd, other))
-    return settled, gen
+                heappush(heap, nd * n + other)
+        if not want_leaves:
+            continue
+        for eid in out[u]:
+            other = far[eid]
+            nd = d + iw[eid]
+            old = leaves.get(other)
+            if old is None or nd < old:
+                leaves[other] = nd
+                if parents:
+                    pare[other] = eid
+                    parv[other] = u
+                if stop_leaf is not None and (stop_leaf < 0 or other == stop_leaf):
+                    lk = nd * n + other + 1
+                    if lk < cut:
+                        cut = lk
+    state.view.adjacency_reads += reads
+    return settled, leaves
+
+
+def _path_to(state: ExplorationState, x: int) -> list[tuple[int, int, int]]:
+    """(edge, from, to) steps of the last parent-tracking search, seed to x."""
+    pare, parv = state._dj_pare, state._dj_parv
+    path = []
+    while parv[x] != -1:
+        path.append((pare[x], parv[x], x))
+        x = parv[x]
+    path.reverse()
+    return path
 
 
 def internally_explored_distance(state: ExplorationState, g: Graph, x: int, y: int):
@@ -360,8 +450,12 @@ def internally_explored_distance(state: ExplorationState, g: Graph, x: int, y: i
                 seeds.append((w, other))
     else:
         seeds = [(0, x)]
-    settled, gen = _run_dijkstra(state, seeds, target=y)
-    d = state._dj_dist[y] if state._dj_stamp[y] == -state._gen else None
+    if state.explored[y]:
+        _dijkstra_explored(state, seeds, target=y)
+        d = state._dj_dist[y] if state._dj_stamp[y] == -state._gen else None
+    else:
+        _, leaves = _dijkstra_explored(state, seeds, stop_leaf=y)
+        d = leaves.get(y)
     if best_direct is not None and (d is None or best_direct < d):
         d = best_direct
     if d is None:
@@ -378,38 +472,32 @@ def is_blocked(state: ExplorationState, g: Graph, eid: int, delta):
     """
     if g is not state.g:
         raise ValueError("state belongs to a different graph")
-    if eid not in state.boundary:
+    if not state.on_boundary(eid):
         raise StateError(f"edge {eid} is not a boundary edge")
     d = as_fraction(delta)
     if d <= 0:
         raise ValueError(f"delta must be positive, got {d}")
     one_plus = 1 + d
-    u, _, w = state.boundary[eid]
+    w = g._iw[eid]
     radius = one_plus.numerator * w // one_plus.denominator
-    blockers = _fresh_blockers(state, u, eid, w, radius)
+    blockers = _fresh_blockers(state, state.src[eid], w, radius)
     for v in blockers:
         state.record_witness(eid, v)
     return bool(blockers), set(blockers)
 
 
-def _fresh_blockers(state: ExplorationState, u: int, eid: int, w_scaled: int, radius: int):
-    """All unexplored endpoints of lighter boundary edges within the radius."""
+def _fresh_blockers(state: ExplorationState, u: int, w_scaled: int, radius: int):
+    """All unexplored endpoints of lighter boundary edges within the radius.
+
+    The edge being checked (weight w_scaled) is never the lightest edge at a
+    witness, so it needs no exclusion (fact 2 of the module docstring).
+    """
     mn = state.min_boundary_weight_scaled()
     if mn is None or mn >= w_scaled:
         return []
-    settled, gen = _run_dijkstra(state, [(0, u)], radius=radius)
-    dist = state._dj_dist
-    out = []
-    for v in settled:
-        if state.explored[v]:
-            continue
-        bw = min(
-            (state.boundary[e2][2] for e2 in state.b_by_unexpl.get(v, ()) if e2 != eid),
-            default=None,
-        )
-        if bw is not None and bw < w_scaled:
-            out.append(v)
-    return out
+    _, leaves = _dijkstra_explored(state, [(0, u)], radius=radius, want_leaves=True)
+    minw = state.minw
+    return [v for v, dv in leaves.items() if dv <= radius and minw[v] < w_scaled]
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +508,7 @@ TAKE = "take-boundary"
 RETURN = "return"
 
 
-@dataclass(frozen=True)
-class TraversalStep:
+class TraversalStep(NamedTuple):
     edge: int
     source: int
     dest: int
@@ -431,6 +518,17 @@ class TraversalStep:
 
 @dataclass
 class TraversalLog:
+    """One run: its steps, their exact total cost and the taken boundary edges.
+
+    blocker_records maps a boundary edge e to unexplored endpoints v' seen to
+    block it.  It holds every v' that blocked e just before v' was explored
+    while e stayed on the boundary (the witness sweep), plus witnesses the
+    blocked checks found.  Which extra witnesses appear depends on when the
+    witness cache short-cut a check; by facts 1-4 of the module docstring
+    that never changes a decision, so the steps are canonical and this
+    field is not.
+    """
+
     algorithm: str
     start: int
     steps: tuple[TraversalStep, ...]
@@ -477,6 +575,10 @@ class _Engine:
         two_plus = 2 + params.delta
         self.p1, self.q1 = one_plus.numerator, one_plus.denominator
         self.p2, self.q2 = two_plus.numerator, two_plus.denominator
+        p1, q1 = self.p1, self.q1
+        # bnd[e]: the blocking radius (1+delta) w(e), scaled and floored
+        self.bnd = [p1 * w // q1 for w in g._iw]
+        # priorities are distinct, so prio alone orders like (prio, id)
         self.prio = params.tie_break.priorities(g.edge_count)
         self.state = ExplorationState.initial(g, params.start)
         self.steps: list[TraversalStep] = []
@@ -484,63 +586,41 @@ class _Engine:
 
     # -- blocking checks ----------------------------------------------------
 
-    def _bound(self, w_scaled: int) -> int:
-        return self.p1 * w_scaled // self.q1
-
-    def _blocked_many(self, source: int, eids: list[int]) -> dict[int, bool]:
+    def _blocked_many(self, source: int, eids: list[int], mn, status: dict) -> None:
         """Blocked status for boundary edges sharing explored endpoint source.
 
-        Cheap path first: an already recorded witness that is still valid
-        proves "blocked" with no distance work.  The rest share one bounded
-        Dijkstra from the source; every witness discovered is recorded.
+        mn is the lightest boundary weight.  Cheap verdicts first: nothing on
+        the boundary is lighter, or an already recorded witness that is still
+        valid proves "blocked" with no distance work.  The rest share one
+        bounded Dijkstra from the source; every witness found is recorded.
         """
         st = self.state
-        out: dict[int, bool] = {}
-        mn = st.min_boundary_weight_scaled()
-        needy: list[tuple[int, int]] = []
+        iw = self.g._iw
+        bnd = self.bnd
+        needy = []
         for eid in eids:
-            w = st.boundary[eid][2]
+            w = iw[eid]
             if mn is None or mn >= w:
-                out[eid] = False  # nothing on the boundary is lighter
+                status[eid] = False
             elif st.has_valid_witness(eid, w):
-                out[eid] = True
+                status[eid] = True
             else:
-                needy.append((eid, w))
+                needy.append(eid)
         if not needy:
-            return out
-        radius = max(self._bound(w) for _, w in needy)
-        settled, gen = _run_dijkstra(st, [(0, source)], radius=radius)
-        dist = st._dj_dist
-        learned_near = []
-        for v in settled:
-            if not st.explored[v]:
-                bw = st.min_weight_at(v)
-                if bw is not None:
-                    learned_near.append((v, dist[v], bw))
-        for eid, w in needy:
-            bound = self._bound(w)
-            own_far_end = st.boundary[eid][1]
+            return
+        radius = max(bnd[eid] for eid in needy)
+        _, leaves = _dijkstra_explored(st, [(0, source)], radius=radius, want_leaves=True)
+        minw = st.minw
+        near = [(v, dv, minw[v]) for v, dv in leaves.items() if dv <= radius]
+        for eid in needy:
+            w = iw[eid]
+            bound = bnd[eid]
             blocked = False
-            for v, dv, bw in learned_near:
-                if dv > bound or bw >= w:
-                    continue
-                if v == own_far_end:
-                    # e itself may be the lightest edge at its far end; a
-                    # witness there needs a *different* lighter edge
-                    bw2 = min(
-                        (
-                            st.boundary[e2][2]
-                            for e2 in st.b_by_unexpl.get(v, ())
-                            if e2 != eid
-                        ),
-                        default=None,
-                    )
-                    if bw2 is None or bw2 >= w:
-                        continue
-                st.record_witness(eid, v)
-                blocked = True
-            out[eid] = blocked
-        return out
+            for v, dv, bw in near:
+                if dv <= bound and bw < w:
+                    st.record_witness(eid, v)
+                    blocked = True
+            status[eid] = blocked
 
     def _select(self, v: int):
         """First admissible boundary edge at the invocation vertex v, or None.
@@ -551,26 +631,28 @@ class _Engine:
         """
         st = self.state
         prio = self.prio
-        class1 = sorted(st.b_by_expl.get(v, ()), key=lambda e: (prio[e], e))
+        mn = st.min_boundary_weight_scaled()
+        status: dict[int, bool] = {}
+        class1 = sorted(st.out[v], key=prio.__getitem__)
         if class1:
-            status = self._blocked_many(v, class1)
+            self._blocked_many(v, class1, mn, status)
             for eid in class1:
                 if not status[eid]:
                     return eid
         recs = st.rec_by_witness.get(v)
         if recs:
+            src, far, explored = st.src, st.far, st.explored
             class2 = sorted(
-                (e for e in recs if e in st.boundary and st.boundary[e][0] != v),
-                key=lambda e: (prio[e], e),
+                (e for e in recs if not explored[far[e]] and src[e] != v),
+                key=prio.__getitem__,
             )
             by_source: dict[int, list[int]] = {}
             for eid in class2:
-                by_source.setdefault(st.boundary[eid][0], []).append(eid)
-            status2: dict[int, bool] = {}
+                by_source.setdefault(src[eid], []).append(eid)
             for source, eids in by_source.items():
-                status2.update(self._blocked_many(source, eids))
+                self._blocked_many(source, eids, mn, status)
             for eid in class2:
-                if not status2[eid]:
+                if not status[eid]:
                     return eid
         return None
 
@@ -580,23 +662,18 @@ class _Engine:
         st = self.state
         if st.position == to:
             return
-        settled, gen = _run_dijkstra(
-            st, [(0, st.position)], radius=radius, target=to, parents=True
-        )
-        if st._dj_stamp[to] != -gen:
+        _dijkstra_explored(st, [(0, st.position)], radius=radius, target=to, parents=True)
+        if st._dj_stamp[to] != -st._gen:
             raise InvariantViolation(
                 "walk-distance-bound",
                 witness=(st.position, to, role),
                 detail="no internally explored path within the guaranteed radius",
             )
-        path = []
-        x = to
-        while st._dj_parv[x] != -1:
-            path.append((st._dj_pare[x], st._dj_parv[x], x))
-            x = st._dj_parv[x]
-        for eid, a, b in reversed(path):
-            self.steps.append(TraversalStep(eid, a, b, role, charge))
-            st.cost += st.g._iw[eid]
+        iw = self.g._iw
+        steps = self.steps
+        for eid, a, b in _path_to(st, to):
+            steps.append(TraversalStep(eid, a, b, role, charge))
+            st.cost += iw[eid]
         st.position = to
 
     def _witness_sweep(self, x: int) -> None:
@@ -606,39 +683,50 @@ class _Engine:
         into x are about to vanish, and any edge they block right now must
         remember x so that the invocation at x can re-activate it.  Distances
         only shrink over time, so checking at this last moment catches every
-        pair that ever satisfied the blocking clause.
+        pair that ever satisfied the blocking clause.  The records feed
+        rec_by_witness only: x is explored next, so a cache entry for it
+        could never confirm anything (fact 3).
         """
         st = self.state
-        inc = st.b_by_unexpl.get(x)
+        inc = st.into[x]
         if not inc:
             return
-        wmin = min(st.boundary[e][2] for e in inc)
+        wmin = st.minw[x]
         maxw = st.max_boundary_weight_scaled()
         if maxw is None or maxw <= wmin:
             return
+        iw = self.g._iw
+        src = st.src
         seeds: dict[int, int] = {}
         for eid in inc:
-            u, _, w = st.boundary[eid]
+            u, w = src[eid], iw[eid]
             if u not in seeds or w < seeds[u]:
                 seeds[u] = w
-        settled, gen = _run_dijkstra(
-            st, [(w, u) for u, w in seeds.items()], radius=self._bound(maxw)
+        settled, _ = _dijkstra_explored(
+            st, [(w, u) for u, w in seeds.items()], radius=self.p1 * maxw // self.q1
         )
         dist = st._dj_dist
+        out, far, bnd = st.out, st.far, self.bnd
+        records = st.blocker_records
+        found = []
         for u in settled:
-            if not st.explored[u]:
+            lst = out[u]
+            if not lst:
                 continue
             du = dist[u]
-            for eid in st.b_by_expl.get(u, ()):
-                w = st.boundary[eid][2]
-                if w > wmin and st.boundary[eid][1] != x and du <= self._bound(w):
-                    st.record_witness(eid, x)
+            for eid in lst:
+                if du <= bnd[eid] and iw[eid] > wmin and far[eid] != x:
+                    found.append(eid)
+                    records.setdefault(eid, set()).add(x)
+        if found:
+            st.rec_by_witness.setdefault(x, set()).update(found)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> TraversalLog:
         st = self.state
         g = self.g
+        iw = g._iw
         frames: list[tuple[int, int]] = [(st.position, -1)]
         while frames:
             v = frames[-1][0]
@@ -650,12 +738,12 @@ class _Engine:
                         frames[-1][0],
                         RETURN,
                         entered_by,
-                        self.p2 * g._iw[entered_by] // self.q2,
+                        self.p2 * iw[entered_by] // self.q2,
                     )
                 continue
-            y, x, w = st.boundary[eid]
+            y, x, w = st.src[eid], st.far[eid], iw[eid]
             if y != v:
-                self._walk(y, APPROACH, eid, self._bound(w))
+                self._walk(y, APPROACH, eid, self.bnd[eid])
             self._witness_sweep(x)
             self.steps.append(TraversalStep(eid, y, x, TAKE, eid))
             st.cost += w
@@ -746,43 +834,49 @@ class CostChainReport:
 def verify_cost_chain(g: Graph, log: TraversalLog, delta, optspan_bound=None) -> CostChainReport:
     """Check the per-edge charge decomposition and the total cost bound.
 
-    With optspan_bound (an upper bound on the best spanner lightness of the
-    taken edges plus their overlap-maximizing MST), additionally checks
-    total <= 2(delta+2) * optspan_bound * w(MST_B).
+    Sums run over the graph's scaled integer weights; (1+delta) = p/q bounds
+    are compared as a*q <= p*w.  With optspan_bound (an upper bound on the
+    best spanner lightness of the taken edges plus their overlap-maximizing
+    MST), additionally checks total <= 2(delta+2) * optspan_bound * w(MST_B).
     """
     d = as_fraction(delta)
     one_plus = 1 + d
     two_plus = 2 + d
+    p1, q1 = one_plus.numerator, one_plus.denominator
+    p2, q2 = two_plus.numerator, two_plus.denominator
+    iw = g._iw
+    scale = g._scale
     w_b = log.taken_boundary.weight()
     bound = 2 * two_plus * w_b
-    approach: dict[int, Fraction] = {}
-    take: dict[int, Fraction] = {}
-    ret: dict[int, Fraction] = {}
+    taken = log.taken_boundary.ids
+    slots: dict[str, dict[int, int]] = {APPROACH: {}, TAKE: {}, RETURN: {}}
     failures = []
-    for s in log.steps:
-        w = g.weight(s.edge)
-        if s.charged_to not in log.taken_boundary:
-            failures.append({"edge": s.edge, "why": "charged to an untaken edge"})
+    total = 0
+    for edge, _, _, role, charged_to in log.steps:
+        w = iw[edge]
+        total += w
+        if charged_to not in taken:
+            failures.append({"edge": edge, "why": "charged to an untaken edge"})
             continue
-        slot = {APPROACH: approach, TAKE: take, RETURN: ret}[s.role]
-        slot[s.charged_to] = slot.get(s.charged_to, Fraction(0)) + w
+        slot = slots[role]
+        slot[charged_to] = slot.get(charged_to, 0) + w
+    approach, take, ret = slots[APPROACH], slots[TAKE], slots[RETURN]
     per_edge = []
     for eid in log.taken_boundary:
+        wi = iw[eid]
+        ai, ti, ri = approach.get(eid, 0), take.get(eid, 0), ret.get(eid, 0)
         w = g.weight(eid)
-        a = approach.get(eid, Fraction(0))
-        t = take.get(eid, Fraction(0))
-        r = ret.get(eid, Fraction(0))
-        entry = {"edge": eid, "approach": a, "take": t, "ret": r, "weight": w}
-        per_edge.append(entry)
-        if a > one_plus * w:
+        a, t, r = Fraction(ai, scale), Fraction(ti, scale), Fraction(ri, scale)
+        per_edge.append({"edge": eid, "approach": a, "take": t, "ret": r, "weight": w})
+        if ai * q1 > p1 * wi:
             failures.append({"edge": eid, "why": f"approach {a} > (1+delta)w = {one_plus * w}"})
-        if t != w:
+        if ti != wi:
             failures.append({"edge": eid, "why": f"take {t} != w = {w}"})
-        if r > two_plus * w:
+        if ri * q2 > p2 * wi:
             failures.append({"edge": eid, "why": f"return {r} > (2+delta)w = {two_plus * w}"})
-    total = sum((g.weight(s.edge) for s in log.steps), Fraction(0))
-    if total != log.total_cost:
-        failures.append({"why": f"step sum {total} != logged total {log.total_cost}"})
+    step_sum = Fraction(total, scale)
+    if step_sum != log.total_cost:
+        failures.append({"why": f"step sum {step_sum} != logged total {log.total_cost}"})
     if log.total_cost > bound:
         failures.append({"why": f"total {log.total_cost} > 2(delta+2)w(B) = {bound}"})
     report = CostChainReport(
@@ -833,28 +927,77 @@ def taken_union_mst(g: Graph, log: TraversalLog) -> EdgeSubset:
     return EdgeSubset(g, set(b.ids) | set(mst_b.ids))
 
 
+def _bridges(g: Graph, ids) -> set[int]:
+    """Bridges of the subgraph formed by edge ids, by one iterative DFS.
+
+    Parallel edges are told apart by id, so a doubled edge is no bridge.
+    """
+    n = g.n
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid in ids:
+        u, v = g._edges[eid]
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    disc = [0] * n
+    low = [0] * n
+    clock = 0
+    bridges = set()
+    for root in range(n):
+        if disc[root] or not adj[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            u, via, it = stack[-1]
+            for v, eid in it:
+                if eid == via:
+                    continue
+                if disc[v]:
+                    if disc[v] < low[u]:
+                        low[u] = disc[v]
+                else:
+                    clock += 1
+                    disc[v] = low[v] = clock
+                    stack.append((v, eid, iter(adj[v])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] > disc[p]:
+                        bridges.add(via)
+    return bridges
+
+
 def verify_blocking_cycle_property(g: Graph, log: TraversalLog, delta) -> CycleMinimalityReport:
     d = as_fraction(delta)
     one_plus = 1 + d
     p, q = one_plus.numerator, one_plus.denominator
     s_ids = taken_union_mst(g, log).ids
+    bridges = _bridges(g, s_ids)
     iw = g._iw
     entries = []
     violations = []
-    from .core import _dijkstra
-
     for eid in sorted(s_ids):
+        bound = one_plus * g.weight(eid)
+        if eid in bridges:
+            # no cycle through a bridge: the detour does not exist
+            entries.append({"edge": eid, "detour": INF, "bound": bound})
+            continue
         u, v = g.endpoints(eid)
-        radius = p * iw[eid] // q
-        keep = s_ids - {eid}
         dist, _ = _dijkstra(
-            g, [(0, u)], edge_ok=keep.__contains__, radius=radius, target=v
+            g,
+            [(0, u)],
+            edge_ok=lambda e, eid=eid: e != eid and e in s_ids,
+            radius=p * iw[eid] // q,
+            target=v,
         )
         dv = dist[v]
         detour = INF if dv == INF else Fraction(dv, g._scale)
-        bound = one_plus * g.weight(eid)
-        entry = {"edge": eid, "detour": detour, "bound": bound}
-        entries.append(entry)
+        entries.append({"edge": eid, "detour": detour, "bound": bound})
         if detour != INF and detour <= bound:
             violations.append(
                 {"edge": eid, "detour": str(detour), "bound": str(bound)}
@@ -872,47 +1015,35 @@ def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
 
     Ties on distance go to the smaller vertex id.  Uses the same online view
     as the blocking explorer; serves as the classic baseline whose ratio is
-    Theta(log n) in the worst case.
+    Theta(log n) in the worst case.  Each step's search stops as soon as the
+    nearest unexplored vertex is known.
     """
     require_connected(g, "run_nearest_neighbor")
     if not (0 <= start < g.n):
         raise ValueError(f"start vertex {start} out of range")
     st = ExplorationState.initial(g, start)
+    iw = g._iw
     steps: list[TraversalStep] = []
     taken: list[int] = []
     while st.explored_count < g.n:
-        # nearest unexplored vertex: first such vertex settled by Dijkstra
-        settled, gen = _run_dijkstra(st, [(0, st.position)], parents=True)
-        target = None
-        for v in settled:
-            if not st.explored[v]:
-                target = v
-                break
-        if target is None:
+        _, leaves = _dijkstra_explored(st, [(0, st.position)], parents=True, stop_leaf=-1)
+        if not leaves:
             raise InvariantViolation("nearest-neighbor-frontier", witness=st.position)
-        path = []
-        x = target
-        while st._dj_parv[x] != -1:
-            path.append((st._dj_pare[x], st._dj_parv[x], x))
-            x = st._dj_parv[x]
-        final_eid = path[0][0]
-        for eid, a, b2 in reversed(path):
-            role = TAKE if b2 == target else APPROACH
-            steps.append(TraversalStep(eid, a, b2, role, final_eid))
-            st.cost += g._iw[eid]
+        _, target = min((d, v) for v, d in leaves.items())
+        path = _path_to(st, target)
+        final_eid = path[-1][0]
+        for eid, a, b in path:
+            role = TAKE if b == target else APPROACH
+            steps.append(TraversalStep(eid, a, b, role, final_eid))
+            st.cost += iw[eid]
         taken.append(final_eid)
         st.mark_explored(target)
         st.position = target
     if st.position != start and taken:
-        settled, gen = _run_dijkstra(st, [(0, st.position)], target=start, parents=True)
-        path = []
-        x = start
-        while st._dj_parv[x] != -1:
-            path.append((st._dj_pare[x], st._dj_parv[x], x))
-            x = st._dj_parv[x]
-        for eid, a, b2 in reversed(path):
-            steps.append(TraversalStep(eid, a, b2, RETURN, taken[-1]))
-            st.cost += g._iw[eid]
+        _dijkstra_explored(st, [(0, st.position)], target=start, parents=True)
+        for eid, a, b in _path_to(st, start):
+            steps.append(TraversalStep(eid, a, b, RETURN, taken[-1]))
+            st.cost += iw[eid]
         st.position = start
     log = TraversalLog(
         algorithm="nearest_neighbor",

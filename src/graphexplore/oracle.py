@@ -23,8 +23,18 @@ from .core import (
     require_connected,
 )
 from .errors import ResourceGuardError
+from .exploration import (
+    APPROACH,
+    RETURN,
+    TAKE,
+    ExplorationState,
+    TraversalLog,
+    TraversalStep,
+    internally_explored_distance,
+)
 
 _TSP_MAX_N = 15
+_REFERENCE_MAX_N = 16
 _OPTSPAN_MAX_M = 20
 _CYCLE_SPACE_MAX_NU = 12
 
@@ -316,3 +326,100 @@ def brute_force_exploration(g: Graph, start: int = 0) -> TourResult:
     if best is None:
         return TourResult(cost=Fraction(0), order=(start,))
     return TourResult(cost=Fraction(best[0], g._scale), order=(start, *best[1], start))
+
+
+def reference_blocking(g: Graph, params) -> TraversalLog:
+    """The delta-blocking explorer computed straight from its definition.
+
+    At every select, "blocked" is recomputed over all boundary edges with
+    internally_explored_distance; nothing is cached.  Just before x is
+    explored, x is recorded against every boundary edge it blocks, and those
+    records alone re-activate edges at x.  Walks are shortest paths over
+    explored-to-explored edges, with the (distance, id) settling order and
+    first-improvement parents that the engine uses.  Guarded to n <= 16.
+    """
+    require_connected(g, "reference_blocking")
+    if g.n > _REFERENCE_MAX_N:
+        raise ResourceGuardError(f"reference_blocking guarded to n <= {_REFERENCE_MAX_N} (got {g.n})")
+    st = ExplorationState.initial(g, params.start)
+    explored = st.explored
+    prio = params.tie_break.priorities(g.edge_count)
+    one_plus = 1 + params.delta
+    records: dict[int, set[int]] = {}
+    steps: list[TraversalStep] = []
+    taken: list[int] = []
+
+    def order(e):
+        return prio[e], e
+
+    def inside(e):
+        a, b = g.edges[e]
+        return explored[a] and explored[b]
+
+    def boundary():
+        """(edge, explored end, unexplored end) for every boundary edge."""
+        return [
+            (e, a, b) if explored[a] else (e, b, a)
+            for e, (a, b) in enumerate(g.edges)
+            if explored[a] != explored[b]
+        ]
+
+    def blocks(bnd, x, e, u):
+        """Does unexplored x block boundary edge e whose explored end is u?"""
+        w = g.weight(e)
+        return any(x2 == x and g.weight(e2) < w for e2, _, x2 in bnd) and (
+            internally_explored_distance(st, g, u, x) <= one_plus * w
+        )
+
+    def select(v):
+        bnd = boundary()
+        class1 = sorted((e for e, u, _ in bnd if u == v), key=order)
+        class2 = sorted((e for e, u, _ in bnd if u != v and v in records.get(e, ())), key=order)
+        src = {e: u for e, u, _ in bnd}
+        for e in class1 + class2:
+            if not any(blocks(bnd, x2, e, src[e]) for _, _, x2 in bnd):
+                return e
+        return None
+
+    def walk(pos, to, role, charge):
+        _, par = _dijkstra(g, [(0, pos)], edge_ok=inside, target=to, parents=True)
+        path = []
+        while to != pos:
+            a, b = g.edges[par[to]]
+            path.append(TraversalStep(par[to], a if b == to else b, to, role, charge))
+            to = path[-1].source
+        steps.extend(reversed(path))
+
+    frames = [(params.start, -1)]
+    pos = params.start
+    while frames:
+        v = frames[-1][0]
+        e = select(v)
+        if e is None:
+            _, entered_by = frames.pop()
+            if frames:
+                walk(pos, frames[-1][0], RETURN, entered_by)
+                pos = frames[-1][0]
+            continue
+        a, b = g.edges[e]
+        u, x = (a, b) if explored[a] else (b, a)
+        walk(pos, u, APPROACH, e)
+        bnd = boundary()
+        for e2, u2, x2 in bnd:
+            if x2 != x and blocks(bnd, x, e2, u2):
+                records.setdefault(e2, set()).add(x)
+        steps.append(TraversalStep(e, u, x, TAKE, e))
+        st.mark_explored(x)
+        pos = x
+        taken.append(e)
+        frames.append((x, e))
+    return TraversalLog(
+        algorithm="blocking_reference",
+        start=params.start,
+        steps=tuple(steps),
+        total_cost=sum((g.weight(s.edge) for s in steps), Fraction(0)),
+        taken_boundary=EdgeSubset(g, taken),
+        delta=params.delta,
+        tie_break=params.tie_break,
+        blocker_records={e: frozenset(s) for e, s in records.items()},
+    )

@@ -39,7 +39,7 @@ from graphexplore.instances import (
     gen_random_planar,
     gen_toroidal_grid,
 )
-from graphexplore.oracle import enumerate_cycles_check
+from graphexplore.oracle import enumerate_cycles_check, reference_blocking
 
 from conftest import random_connected_graph
 
@@ -357,6 +357,37 @@ class TestCycleProperty:
         rep = verify_blocking_cycle_property(g, bogus, 2)
         assert not rep.ok and rep.violations
 
+    def test_entries_match_per_edge_dijkstra(self, rng):
+        # random S = B + MST_B on multigraphs: bridges get INF without a
+        # search, every other edge its exact detour when within the bound
+        bridged = cyclic = 0
+        for _ in range(40):
+            base = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 8), denom=2)
+            edges = [(*base.endpoints(e), base.weight(e)) for e in range(base.edge_count)]
+            for _ in range(rng.randint(0, 2)):
+                u, v, w = rng.choice(edges)
+                edges.append((u, v, w))  # a doubled edge in S is no bridge
+            g = Graph(base.n, edges)
+            b = EdgeSubset(g, rng.sample(range(g.edge_count), rng.randint(0, g.edge_count)))
+            log = TraversalLog("blocking", 0, (), Fraction(0), b)
+            delta = rng.choice([Fraction(1, 2), Fraction(1), Fraction(3)])
+            rep = verify_blocking_cycle_property(g, log, delta)
+            s_ids = taken_union_mst(g, log).ids
+            expected = []
+            for eid in sorted(s_ids):
+                u, v = g.endpoints(eid)
+                d = shortest_path_distances(
+                    g, u, edge_filter=lambda e, eid=eid: e in s_ids and e != eid
+                ).dist[v]
+                bound = (1 + delta) * g.weight(eid)
+                expected.append({"edge": eid, "detour": d if d <= bound else INF, "bound": bound})
+                bridged += d == INF
+                cyclic += d != INF
+            assert rep.entries == expected
+            assert rep.checked == len(s_ids)
+            assert rep.ok == all(e["detour"] == INF for e in expected)
+        assert bridged and cyclic
+
 
 class TestOnlinePurity:
     def test_view_rejects_unexplored_reads(self):
@@ -421,3 +452,42 @@ def test_exploration_completes_and_returns_property(seed, delta):
     assert_closed_walk(g, log, start)
     assert log.verification["cost_chain"]["ok"]
     assert log.verification["cycle_minimality"]["ok"]
+
+
+def _tied_graph(rng: random.Random, n: int, extra: int) -> Graph:
+    """Random connected graph whose weights come from {1, 3/2, 2}: many ties."""
+    weights = (Fraction(1), Fraction(3, 2), Fraction(2))
+    edges = [(rng.randrange(i), i, rng.choice(weights)) for i in range(1, n)]
+    for _ in range(extra):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(weights)))
+    return Graph(n, edges)
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    delta=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]),
+    kind=st.sampled_from(["by_edge_id", "adversarial", "random"]),
+)
+def test_engine_matches_reference_definition(seed, delta, kind):
+    rng = random.Random(seed)
+    n = rng.randint(2, 11)
+    g = _tied_graph(rng, n, rng.randint(0, 2 * n))
+    if kind == "by_edge_id":
+        tb = TieBreak.by_edge_id()
+    elif kind == "adversarial":
+        tb = TieBreak.adversarial(rng.sample(range(g.edge_count), rng.randint(0, g.edge_count)))
+    else:
+        tb = TieBreak.random(rng.randrange(1000))
+    params = ExplorationParams(delta=delta, start=rng.randrange(n), tie_break=tb)
+    log = run_blocking(g, params)
+    ref = reference_blocking(g, params)
+    assert [s.edge for s in log.steps if s.role == "take-boundary"] == [
+        s.edge for s in ref.steps if s.role == "take-boundary"
+    ]
+    assert log.steps == ref.steps
+    assert log.total_cost == ref.total_cost
+    # the sweep's records are exactly the definition's; checks may add more
+    for e, xs in ref.blocker_records.items():
+        assert xs <= log.blocker_records.get(e, frozenset())

@@ -215,6 +215,47 @@ def _dijkstra(
     return dist, par
 
 
+def _within(adj, u: int, v: int, radius, skip: int = -1):
+    """Scaled distance from u to v over `adj` if it is <= radius, else None.
+
+    `adj` has the shape of `Graph._adj` (rows of (neighbour, edge id, scaled
+    weight)) and may hold only some of a graph's edges; edge `skip` is
+    ignored.  The search is bidirectional, one ball around u and one around
+    v, each grown from its smaller frontier key, and nothing beyond
+    `radius` is ever pushed.  Every relaxed edge that meets the other
+    ball's labels offers a u-v path; once the two frontier keys sum to at
+    least the best such path, that path is shortest, and once they sum past
+    `radius`, no path is within it.  So the cost is local to two balls of
+    about half the radius.
+    """
+    if u == v:
+        return 0
+    dist_u, dist_v = {u: 0}, {v: 0}
+    heap_u, heap_v = [(0, u)], [(0, v)]
+    best = INF
+    while heap_u and heap_v:
+        top = heap_u[0][0] + heap_v[0][0]
+        if top >= best or top > radius:
+            break
+        if heap_u[0][0] <= heap_v[0][0]:
+            heap, mine, other = heap_u, dist_u, dist_v
+        else:
+            heap, mine, other = heap_v, dist_v, dist_u
+        d, x = heappop(heap)
+        if d > mine[x]:
+            continue
+        for y, eid, w in adj[x]:
+            nd = d + w
+            if nd > radius or eid == skip:
+                continue
+            if y in other and nd + other[y] < best:
+                best = nd + other[y]
+            if nd < mine.get(y, INF):
+                mine[y] = nd
+                heappush(heap, (nd, y))
+    return None if best == INF or best > radius else best
+
+
 def shortest_path_distances(g: Graph, source: int, edge_filter=None) -> DistanceTable:
     """Exact single-source distances, optionally over a subset of edges.
 

@@ -336,14 +336,13 @@ def verify_rows(built: BuiltInstance, config: ExperimentConfig) -> list[dict]:
                     rep.ok == cyc["ok"] and rep.ok,
                     f"cycles={rep.cycles_checked}")
             )
-    if g.n <= 8:
-        a = exact_tsp(g, built.start)
-        b = brute_force_exploration(g, built.start)
-        rows.append(row("tsp_permutation_agreement", None, a.cost == b.cost,
-                        f"cost={a.cost}"))
     if g.n <= _TSP_ROW_MAX_N:
-        lo = minimum_spanning_tree(g).weight()
         t = exact_tsp(g, built.start)
+        if g.n <= 8:
+            b = brute_force_exploration(g, built.start)
+            rows.append(row("tsp_permutation_agreement", None, t.cost == b.cost,
+                            f"cost={t.cost}"))
+        lo = minimum_spanning_tree(g).weight()
         rows.append(row("tsp_mst_sandwich", None, lo <= t.cost <= 2 * lo))
     for eps in config.epsilons:
         res = greedy_spanner(g, eps)

@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 from .core import (
     INF,
     EdgeSubset,
     Graph,
     _dijkstra,
+    _within,
     as_fraction,
     fundamental_cycle,
     minimum_spanning_tree,
@@ -66,43 +68,43 @@ def exact_tsp(g: Graph, start: int = 0) -> TourResult:
         dist, _ = _dijkstra(g, [(0, s)])
         dmat.append(dist)
     others = [v for v in range(n) if v != start]
-    idx = {v: i for i, v in enumerate(others)}
-    full = (1 << len(others)) - 1
-    # dp[(mask, i)] = (cost of start -> ... -> others[i] covering mask, parent i)
-    dp: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, v in enumerate(others):
-        dp[(1 << i, i)] = (dmat[start][v], -1)
+    k = len(others)
+    full = (1 << k) - 1
+    # col[j][i]: cost of the hop others[i] -> others[j]
+    col = [[dmat[a][b] for a in others] for b in others]
+    # dp[mask][j]: cheapest start -> ... -> others[j] visiting exactly the
+    # others in mask (j among them); INF where j is not in mask
+    dp: list[list] = [None] * (full + 1)
+    for j, v in enumerate(others):
+        row = [INF] * k
+        row[j] = dmat[start][v]
+        dp[1 << j] = row
     for mask in range(1, full + 1):
-        for i, v in enumerate(others):
-            if not (mask >> i) & 1:
-                continue
-            cur = dp.get((mask, i))
-            if cur is None:
-                continue
-            base = cur[0]
-            for j, u in enumerate(others):
-                if (mask >> j) & 1:
-                    continue
-                nk = (mask | (1 << j), j)
-                cand = base + dmat[v][u]
-                if nk not in dp or cand < dp[nk][0]:
-                    dp[nk] = (cand, i)
-    best = None
-    for i, v in enumerate(others):
-        entry = dp[(full, i)]
-        total = entry[0] + dmat[v][start]
-        if best is None or total < best[0]:
-            best = (total, i)
-    # reconstruct visiting order
+        if not mask & (mask - 1):
+            continue
+        row = [INF] * k
+        bits = mask
+        while bits:
+            bit = bits & -bits
+            j = bit.bit_length() - 1
+            row[j] = min(map(add, dp[mask ^ bit], col[j]))
+            bits ^= bit
+        dp[mask] = row
+    closing = [dp[full][j] + dmat[v][start] for j, v in enumerate(others)]
+    best = min(closing)
+    # rebuild the visiting order backwards: at each step take the first
+    # predecessor whose row entry plus the hop reproduces the current cost
     order = []
-    mask, i = full, best[1]
-    while i != -1:
-        order.append(others[i])
-        _, pi = dp[(mask, i)]
-        mask ^= 1 << i
-        i = pi
+    mask, j = full, closing.index(best)
+    while True:
+        order.append(others[j])
+        prev = mask ^ (1 << j)
+        if not prev:
+            break
+        via = list(map(add, dp[prev], col[j]))
+        j, mask = via.index(dp[mask][j]), prev
     order.reverse()
-    return TourResult(cost=Fraction(best[0], g._scale), order=(start, *order, start))
+    return TourResult(cost=Fraction(best, g._scale), order=(start, *order, start))
 
 
 def mst_bounds(g: Graph) -> tuple[Fraction, Fraction]:
@@ -117,7 +119,11 @@ def mst_bounds(g: Graph) -> tuple[Fraction, Fraction]:
 
 
 def _stretch_ok_all_pairs(g: Graph, keep, one_plus: Fraction) -> bool:
-    """Exact all-pairs test that `keep` edges form a (1+eps)-spanner of g."""
+    """Exact all-pairs test that `keep` edges form a (1+eps)-spanner of g.
+
+    Not used by the oracles themselves: the tests check the per-edge
+    feasibility test of brute_force_optspan_edges against it.
+    """
     p, q = one_plus.numerator, one_plus.denominator
     for s in range(g.n):
         dg, _ = _dijkstra(g, [(0, s)])
@@ -135,8 +141,11 @@ def brute_force_optspan_edges(g: Graph, epsilon, forced_edges=()) -> EdgeSubset:
 
     Searches over which edges to REMOVE, with two prunings: supersets of an
     infeasible removal set are never feasible (stretch only degrades), and
-    branches that cannot beat the incumbent weight are cut.  `forced_edges`
-    must stay in every candidate.  Guarded to m <= 20.
+    branches that cannot beat the incumbent weight are cut.  A removal set
+    is feasible iff every removed edge keeps a detour within its allowance
+    in the kept edges (max stretch over all pairs equals the max over
+    edges), so each test is one bounded search per removed edge.
+    `forced_edges` must stay in every candidate.  Guarded to m <= 20.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
@@ -148,36 +157,52 @@ def brute_force_optspan_edges(g: Graph, epsilon, forced_edges=()) -> EdgeSubset:
             f"brute_force_optspan guarded to m <= {_OPTSPAN_MAX_M} (got {m})"
         )
     one_plus = 1 + eps
+    p, q = one_plus.numerator, one_plus.denominator
     forced = frozenset(forced_edges)
     for eid in forced:
         if not (0 <= eid < m):
             raise ValueError(f"forced edge id {eid} out of range")
     iw = g._iw
+    ends = g._edges
+    allowance = [p * w // q for w in iw]
     removable = sorted(set(range(m)) - forced, key=lambda e: -iw[e])
     all_ids = frozenset(range(m))
-    if not _stretch_ok_all_pairs(g, all_ids, one_plus):
-        # cannot happen: g is trivially a spanner of itself
-        raise AssertionError("graph is not a spanner of itself")
+    total_w = sum(iw)
     best_keep = all_ids
-    best_w = sum(iw)
+    best_w = total_w
 
-    def search(i: int, removed: set[int], removed_w: int) -> None:
+    def feasible(removed: list[int]) -> bool:
+        gone = set(removed)
+        adj = [[t for t in row if t[1] not in gone] for row in g._adj]
+        # the newest removal is the likeliest to fail, so it is tried first
+        return all(
+            _within(adj, *ends[e], allowance[e]) is not None for e in reversed(removed)
+        )
+
+    # monotone pruning: supersets of an infeasible removal set fail too, so
+    # an edge that cannot go on its own is never tried, and a branch is only
+    # entered once its removal set is proven feasible
+    removable = [e for e in removable if feasible([e])]
+    # suffix[j]: weight of removable[j:], the most a branch from j can shed
+    suffix = [0] * (len(removable) + 1)
+    for j in range(len(removable) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + iw[removable[j]]
+
+    def search(i: int, removed: list[int], removed_w: int) -> None:
         nonlocal best_keep, best_w
-        keep_w = sum(iw) - removed_w
+        keep_w = total_w - removed_w
         if keep_w < best_w:
-            keep = all_ids - removed
-            if _stretch_ok_all_pairs(g, keep, one_plus):
-                best_keep, best_w = keep, keep_w
+            best_keep, best_w = all_ids.difference(removed), keep_w
         for j in range(i, len(removable)):
+            if keep_w - suffix[j] >= best_w:
+                break  # no branch from here on can beat the incumbent
             e = removable[j]
-            removed.add(e)
-            # monotone pruning: only recurse when this removal alone keeps
-            # the instance feasible; otherwise every superset fails too
-            if _stretch_ok_all_pairs(g, all_ids - removed, one_plus):
+            removed.append(e)
+            if feasible(removed):
                 search(j + 1, removed, removed_w + iw[e])
-            removed.discard(e)
+            removed.pop()
 
-    search(0, set(), 0)
+    search(0, [], 0)
     return EdgeSubset(g, best_keep)
 
 

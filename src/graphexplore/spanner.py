@@ -10,13 +10,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heappush, heappop
 
 from .core import (
     INF,
     EdgeSubset,
     Graph,
     _dijkstra,
+    _within,
     as_fraction,
     minimum_spanning_tree,
     require_connected,
@@ -45,42 +45,14 @@ class SpannerResult:
         }
 
 
-def _bounded_subgraph_dist(g: Graph, in_h, u: int, v: int, radius: int):
-    """Scaled distance from u to v using only edges with in_h[eid], capped.
-
-    Returns the exact scaled distance if it is <= radius, else None.
-    """
-    if u == v:
-        return 0
-    n = g.n
-    adj = g._adj
-    dist = {u: 0}
-    heap = [(0, u)]
-    while heap:
-        d, x = heappop(heap)
-        if d > dist[x]:
-            continue
-        if d > radius:
-            return None
-        if x == v:
-            return d
-        for y, eid, w in adj[x]:
-            if not in_h[eid]:
-                continue
-            nd = d + w
-            if nd <= radius and (y not in dist or nd < dist[y]):
-                dist[y] = nd
-                heappush(heap, (nd, y))
-    return None
-
-
 def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     """Light-to-heavy greedy spanner with exact acceptance tests.
 
     Keeps edge e = (u, v) iff the distance inside the spanner built so far
     exceeds (1+epsilon) * w(e).  The result spans g, has stretch at most
     1+epsilon, contains the (weight, id)-tie Kruskal MST, and no kept edge
-    is redundant.
+    is redundant.  Every search runs in the spanner's own adjacency lists,
+    grown as edges are kept, and stops at the edge's allowance.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
@@ -90,31 +62,37 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     p, q = one_plus.numerator, one_plus.denominator
     m = g.edge_count
     iw = g._iw
-    in_h = [False] * m
+    ends = g._edges
+    hadj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
     kept: list[int] = []
+    dropped: list[tuple[Fraction, int, int]] = []  # (d / w, eid, d) when dropped
     for eid in sorted(range(m), key=lambda e: (iw[e], e)):
-        u, v = g._edges[eid]
-        radius = p * iw[eid] // q
-        d = _bounded_subgraph_dist(g, in_h, u, v, radius)
+        u, v = ends[eid]
+        w = iw[eid]
+        d = _within(hadj, u, v, p * w // q)
         if d is None:  # distance exceeds (1+eps) * w: keep
-            in_h[eid] = True
+            hadj[u].append((v, eid, w))
+            hadj[v].append((u, eid, w))
             kept.append(eid)
+        elif w:
+            dropped.append((Fraction(d, w), eid, d))
     h = EdgeSubset(g, kept)
-    # max stretch over all vertex pairs equals the max over edge endpoint
-    # pairs: along a shortest g-path, each edge's endpoints are within its
-    # per-edge ratio in h, and those detours concatenate
+    # max stretch over all vertex pairs equals the max over edges of
+    # d_h(u, v) / w(e): along a shortest g-path, each edge's endpoints are
+    # within its per-edge ratio in h, and those detours concatenate.  A kept
+    # edge has ratio exactly 1 (a lighter h-path would have blocked it).  h
+    # only grew after an edge was dropped, so the distance d seen then bounds
+    # its final one: search the final h from the largest d / w down, and
+    # stop once no bound can beat the ratio found so far
+    dropped.sort(key=lambda t: t[0], reverse=True)
     cert = Fraction(1)
-    for eid in range(m):
-        u, v = g._edges[eid]
-        dh = _bounded_subgraph_dist(g, in_h, u, v, p * iw[eid] // q)
+    for bound, eid, d in dropped:
+        if bound <= cert:
+            break
+        u, v = ends[eid]
+        dh = _within(hadj, u, v, d)
         assert dh is not None, "kept spanner must satisfy its own bound"
-        if dh == 0:
-            continue
-        dg = _bounded_subgraph_dist(g, [True] * m, u, v, iw[eid])
-        assert dg is not None and dg > 0  # edge itself bounds the search
-        r = Fraction(dh, dg)
-        if r > cert:
-            cert = r
+        cert = max(cert, Fraction(dh, iw[eid]))
     return SpannerResult(
         edges=h,
         epsilon=eps,
@@ -158,9 +136,22 @@ def verify_spanner_stretch(
 ) -> StretchReport:
     """Independent stretch check: d_h(u,v) <= (1+eps) d_g(u,v) for pairs.
 
-    mode "exact" checks all pairs (guarded to n <= 2000); mode "sampled"
-    checks `count` seeded random pairs.  Pairs at g-distance zero must be at
-    h-distance zero.
+    mode "exact" proves the bound for all pairs by checking edges: if every
+    edge's endpoints are connected in h, the max over all pairs of
+    d_h/d_g equals the max over edges of d_h(u,v)/w(e), because
+    d_g(u,v) <= w(e) and the per-edge detours along a shortest g-path
+    concatenate.  So it runs one search in h per edge of g, bounded by the
+    edge's allowance; only an edge that fails gets an unbounded search, to
+    report its ratio or "pair disconnected in h".  A zero-weight edge needs
+    h-distance zero.  `pairs_checked` is then the number of edges checked,
+    `worst_pair` the endpoints of the worst edge, and `max_ratio` equals
+    the all-pairs maximum whenever h connects every edge's endpoints and
+    keeps every zero-weight edge's endpoints at distance zero.  The mode
+    stays guarded to n <= 2000.
+
+    mode "sampled" checks `count` seeded random pairs with two full
+    Dijkstras per source.  Pairs at g-distance zero must be at h-distance
+    zero.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
@@ -175,29 +166,26 @@ def verify_spanner_stretch(
                 f"exact stretch check guarded to n <= {_EXACT_STRETCH_MAX_N} "
                 f"(got {n}); use mode='sampled'"
             )
-        sources = range(n)
-    elif mode == "sampled":
-        if seed is None or count is None:
-            raise ValueError("sampled mode needs seed and count")
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
-        by_source: dict[int, list[int]] = {}
-        for a, b in pairs:
-            if a != b:
-                by_source.setdefault(a, []).append(b)
-        sources = sorted(by_source)
-    else:
+        return _stretch_per_edge(g, h, one_plus)
+    if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if seed is None or count is None:
+        raise ValueError("sampled mode needs seed and count")
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+    by_source: dict[int, list[int]] = {}
+    for a, b in pairs:
+        if a != b:
+            by_source.setdefault(a, []).append(b)
     ids = h.ids
     max_ratio = Fraction(1)
     worst = None
     violations = []
     pairs_checked = 0
-    for a in sources:
+    for a in sorted(by_source):
         dg, _ = _dijkstra(g, [(0, a)])
         dh, _ = _dijkstra(g, [(0, a)], edge_ok=ids.__contains__)
-        targets = range(a + 1, n) if mode == "exact" else by_source[a]
-        for b in targets:
+        for b in by_source[a]:
             pairs_checked += 1
             if dg[b] == INF:
                 continue  # disconnected pair: no constraint from g
@@ -218,9 +206,50 @@ def verify_spanner_stretch(
                 )
     return StretchReport(
         ok=not violations,
-        mode=mode,
+        mode="sampled",
         pairs_checked=pairs_checked,
         max_ratio=max_ratio,
+        worst_pair=worst,
+        violations=violations,
+    )
+
+
+def _stretch_per_edge(g: Graph, h: EdgeSubset, one_plus: Fraction) -> StretchReport:
+    """The "exact" mode of verify_spanner_stretch: one bounded h-search per
+    edge of g, with ratios kept as integer pairs (d_h, w(e))."""
+    p, q = one_plus.numerator, one_plus.denominator
+    iw = g._iw
+    ids = h.ids
+    hadj = [[t for t in row if t[1] in ids] for row in g._adj]
+    top_d, top_w = 1, 1
+    worst = None
+    violations = []
+    for eid, (u, v) in enumerate(g._edges):
+        if eid in ids:
+            continue  # the edge itself is a path of ratio 1
+        w = iw[eid]
+        pair = (u, v) if u < v else (v, u)
+        d = _within(hadj, u, v, p * w // q)
+        if w == 0:
+            if d is None:
+                violations.append({"pair": pair, "why": "zero g-distance, positive h-distance"})
+            continue
+        if d is None:
+            d = _within(hadj, u, v, INF)
+            if d is None:
+                violations.append({"pair": pair, "why": "pair disconnected in h"})
+                continue
+            violations.append(
+                {"pair": pair, "ratio": str(Fraction(d, w)), "allowed": str(one_plus)}
+            )
+        if d * top_w > top_d * w:
+            top_d, top_w = d, w
+            worst = pair
+    return StretchReport(
+        ok=not violations,
+        mode="exact",
+        pairs_checked=g.edge_count,
+        max_ratio=Fraction(top_d, top_w),
         worst_pair=worst,
         violations=violations,
     )
@@ -248,16 +277,13 @@ def verify_spanner_minimality(g_h: Graph, epsilon) -> MinimalityReport:
     one_plus = 1 + eps
     p, q = one_plus.numerator, one_plus.denominator
     iw = g_h._iw
+    adj = g_h._adj
     redundant = []
-    for eid in range(g_h.edge_count):
-        u, v = g_h._edges[eid]
-        radius = p * iw[eid] // q
-        dist, _ = _dijkstra(
-            g_h, [(0, u)], edge_ok=lambda e, skip=eid: e != skip, radius=radius, target=v
-        )
-        if dist[v] != INF:
+    for eid, (u, v) in enumerate(g_h._edges):
+        d = _within(adj, u, v, p * iw[eid] // q, skip=eid)
+        if d is not None:
             redundant.append(
-                {"edge": eid, "detour": str(Fraction(dist[v], g_h._scale)), "allowed": str(one_plus * g_h.weight(eid))}
+                {"edge": eid, "detour": str(Fraction(d, g_h._scale)), "allowed": str(one_plus * g_h.weight(eid))}
             )
     return MinimalityReport(ok=not redundant, checked=g_h.edge_count, redundant=redundant)
 
@@ -287,11 +313,11 @@ def verify_mst_containment(g: Graph, h: EdgeSubset) -> MstContainmentReport:
     """
     if h.parent is not g:
         raise ValueError("subset belongs to a different graph")
-    g_mst_w = minimum_spanning_tree(g).weight()
+    tree = minimum_spanning_tree(g)
+    g_mst_w = tree.weight()
     sub, _ids = restrict(g, h)
     sub_mst_w = minimum_spanning_tree(sub).weight()
-    kruskal_ids = minimum_spanning_tree(g).ids
-    contained = kruskal_ids <= h.ids
+    contained = tree.ids <= h.ids
     return MstContainmentReport(
         ok=(sub_mst_w == g_mst_w) and contained,
         mst_weight=g_mst_w,

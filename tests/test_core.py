@@ -3,13 +3,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphexplore.core import (
     INF,
     DisjointSet,
     EdgeSubset,
     Graph,
+    _dijkstra,
+    _within,
     as_fraction,
     connected_components,
     fundamental_cycle,
@@ -256,3 +258,23 @@ def test_distances_satisfy_edge_relaxation_property(seed):
         u, v = g.endpoints(eid)
         assert t.dist[v] <= t.dist[u] + g.weight(eid)
         assert t.dist[u] <= t.dist[v] + g.weight(eid)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_bounded_search_matches_full_dijkstra(seed):
+    # random sub-adjacency with zero weights and parallel edges, random
+    # radius (sometimes unbounded) and skipped edge
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    weights = [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(4)]
+    edges = [(rng.randrange(n), rng.randrange(n), rng.choice(weights)) for _ in range(rng.randint(0, 25))]
+    g = Graph(n, [(a, b, w) for a, b, w in edges if a != b])
+    keep = {e for e in range(g.edge_count) if rng.random() < 0.8}
+    adj = [[t for t in row if t[1] in keep] for row in g._adj]
+    skip = rng.randrange(-1, g.edge_count) if g.edge_count else -1
+    u, v = rng.randrange(n), rng.randrange(n)
+    radius = INF if rng.random() < 0.2 else rng.randint(0, 8 * g._scale)
+    dist, _ = _dijkstra(g, [(0, u)], edge_ok=lambda e: e in keep and e != skip)
+    expect = dist[v] if dist[v] <= radius else None
+    assert _within(adj, u, v, radius, skip) == (None if expect == INF else expect)

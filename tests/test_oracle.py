@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphexplore.core import Graph, minimum_spanning_tree, shortest_path_distances
+from graphexplore.core import EdgeSubset, Graph, minimum_spanning_tree, shortest_path_distances
 from graphexplore.errors import GraphStructureError, ResourceGuardError
 from graphexplore.oracle import (
+    _stretch_ok_all_pairs,
     brute_force_exploration,
     brute_force_optspan,
     brute_force_optspan_edges,
@@ -84,6 +85,13 @@ class TestExactTsp:
         with pytest.raises(GraphStructureError):
             exact_tsp(g)
 
+    def test_trees_at_the_guard_cost_twice_their_weight(self, rng):
+        for _ in range(3):
+            g = random_connected_graph(rng, 15, 0)
+            t = exact_tsp(g, rng.randrange(15))
+            assert t.cost == 2 * g.total_weight()
+            assert tour_cost_replay(g, t.order) == t.cost
+
     def test_order_prices_to_reported_cost(self, rng):
         for _ in range(8):
             g = random_connected_graph(rng, rng.randint(2, 8), rng.randint(0, 5))
@@ -133,6 +141,16 @@ class TestOptspan:
         forced = brute_force_optspan_edges(g, 2, forced_edges=(0,))
         assert 0 in forced.ids and forced.weight() == 3
 
+    def test_removal_that_breaks_an_earlier_detour(self):
+        # every removed edge is rechecked after each new removal, not just
+        # the newest: (1,2) may go on its own, with detour 1-3-2 of 9/2, but
+        # dropping (3,1) as well stretches that detour to 13/2 > 2 * 3
+        g = Graph(4, [(0, 1, Fraction(5, 2)), (1, 2, 3), (2, 3, Fraction(3, 2)),
+                      (0, 3, Fraction(5, 2)), (3, 1, 3)])
+        best = brute_force_optspan_edges(g, 1)
+        assert best.ids == {0, 2, 3, 4} and best.weight() == Fraction(19, 2)
+        assert best.ids == optspan_all_pairs(g, Fraction(1))
+
     def test_forced_edge_range_checked(self):
         with pytest.raises(ValueError):
             brute_force_optspan_edges(unit_square(), 1, forced_edges=(9,))
@@ -153,6 +171,53 @@ class TestOptspan:
             opt = brute_force_optspan(g, Fraction(1, 2))
             whole = g.total_weight() / minimum_spanning_tree(g).weight()
             assert 1 <= opt <= whole
+
+
+def optspan_all_pairs(g: Graph, eps, forced=frozenset()) -> frozenset:
+    """The same removal search, with every candidate tested on all pairs."""
+    one_plus = 1 + eps
+    iw = g._iw
+    removable = sorted(set(range(g.edge_count)) - set(forced), key=lambda e: -iw[e])
+    all_ids = frozenset(range(g.edge_count))
+    best = [all_ids, sum(iw)]
+
+    def search(i, removed, removed_w):
+        keep = all_ids - removed
+        if sum(iw) - removed_w < best[1] and _stretch_ok_all_pairs(g, keep, one_plus):
+            best[:] = [keep, sum(iw) - removed_w]
+        for j in range(i, len(removable)):
+            e = removable[j]
+            if _stretch_ok_all_pairs(g, keep - {e}, one_plus):
+                search(j + 1, removed | {e}, removed_w + iw[e])
+
+    search(0, frozenset(), 0)
+    return best[0]
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    eps=st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(3)]),
+)
+def test_optspan_matches_all_pairs_feasibility(seed, eps):
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    weights = [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2)]
+    edges = [(rng.randrange(i), i, rng.choice(weights)) for i in range(1, n)]
+    for _ in range(rng.randint(0, 6)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(weights)))
+    g = Graph(n, edges)
+    forced = frozenset(e for e in range(g.edge_count) if rng.random() < 0.2)
+    best = brute_force_optspan_edges(g, eps, forced)
+    assert best.ids == optspan_all_pairs(g, eps, forced)
+    assert forced <= best.ids
+    assert _stretch_ok_all_pairs(g, best.ids, 1 + eps)
+    # no lighter feasible keep-set exists, checked over every subset
+    for mask in range(1 << g.edge_count):
+        keep = frozenset(e for e in range(g.edge_count) if mask >> e & 1)
+        if forced <= keep and EdgeSubset(g, keep).weight() < best.weight():
+            assert not _stretch_ok_all_pairs(g, keep, 1 + eps)
 
 
 class TestCycleEnumeration:

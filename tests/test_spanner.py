@@ -187,6 +187,14 @@ class TestCertificate:
             r = greedy_spanner(g, eps)
             assert r.stretch_certificate == exact_max_stretch(g, r.edges.ids)
 
+    def test_certificate_measured_in_the_final_spanner(self):
+        # (0,2) is dropped at detour 2 through vertex 1; the heavier (0,3),
+        # kept later, shortens that detour to 11/10 + 1/2
+        g = Graph(4, [(3, 2, Fraction(1, 2)), (0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, Fraction(11, 10))])
+        r = greedy_spanner(g, 1)
+        assert r.edges.ids == {0, 1, 2, 4}
+        assert r.stretch_certificate == Fraction(8, 5) == exact_max_stretch(g, r.edges.ids)
+
     def test_certificate_never_exceeds_allowance(self, rng):
         for _ in range(8):
             g = random_connected_graph(rng, 10, 6)
@@ -310,3 +318,58 @@ def test_spanner_contract_property(seed, eps):
     assert verify_spanner_stretch(g, r.edges, eps).ok
     sub, _ = restrict(g, r.edges)
     assert verify_spanner_minimality(sub, eps).ok
+
+
+def all_pairs_stretch(g: Graph, ids, eps) -> tuple[bool, Fraction]:
+    """(ok, max ratio) of h = ids over every vertex pair, from the definition."""
+    ok, best = True, Fraction(1)
+    for a in range(g.n):
+        dg = shortest_path_distances(g, a).dist
+        dh = shortest_path_distances(g, a, edge_filter=lambda e: e in ids).dist
+        for b in range(a + 1, g.n):
+            if dg[b] == float("inf"):
+                continue
+            if dg[b] == 0:
+                ok = ok and dh[b] == 0
+                continue
+            if dh[b] == float("inf"):
+                ok = False
+                continue
+            r = dh[b] / dg[b]
+            best = max(best, r)
+            ok = ok and r <= 1 + eps
+    return ok, best
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    eps=st.sampled_from([Fraction(1, 7), Fraction(1, 2), Fraction(1), Fraction(3)]),
+    keep_share=st.sampled_from([Fraction(1, 2), Fraction(4, 5), Fraction(1)]),
+)
+def test_per_edge_stretch_matches_all_pairs(seed, eps, keep_share):
+    # zero weights, parallel edges and violating keep-sets included
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    weights = [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
+    edges = [(rng.randrange(i), i, rng.choice(weights)) for i in range(1, n)]
+    for _ in range(rng.randint(0, 8)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(weights)))
+    if rng.random() < 0.5:
+        u, v, _ = rng.choice(edges)
+        edges.append((v, u, rng.choice(weights)))
+    g = Graph(n, edges)
+    keep = {e for e in range(g.edge_count) if rng.random() < keep_share}
+    rep = verify_spanner_stretch(g, EdgeSubset(g, keep), eps)
+    ok, max_ratio = all_pairs_stretch(g, keep, eps)
+    assert rep.ok == ok
+    assert rep.pairs_checked == g.edge_count
+    # the per-edge maximum is the all-pairs one once h joins every edge's
+    # endpoints, and zero-weight ones at distance zero
+    joined = True
+    for eid, (u, v) in enumerate(g.edges):
+        dh = shortest_path_distances(g, u, edge_filter=lambda e: e in keep)[v]
+        joined = joined and dh != float("inf") and (g.weight(eid) > 0 or dh == 0)
+    if joined:
+        assert rep.max_ratio == max_ratio

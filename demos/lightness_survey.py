@@ -28,10 +28,10 @@ def survey(spec: InstanceSpec) -> None:
     for eps in EPSILONS:
         res = greedy_spanner(g, eps)
         bound = lightness_bound(eps, built.genus)
-        check = verify_spanner_stretch(g, res.edges, eps) if g.n <= 2000 else None
+        check = verify_spanner_stretch(g, res.edges, eps)
         print(
             f"  {str(eps):>5s} {len(res.edges):5d} {float(res.lightness):10.4f} "
-            f"{float(bound):8.3f} {'yes' if check and check.ok else '?':>10s}"
+            f"{float(bound):8.3f} {'yes' if check.ok else 'no':>10s}"
         )
     print()
 

@@ -161,22 +161,13 @@ class DistanceTable:
         return self.dist[v]
 
 
-def _dijkstra(
-    g: Graph,
-    sources,
-    *,
-    edge_ok=None,
-    radius: int | None = None,
-    target: int | None = None,
-    parents: bool = False,
-):
-    """Scaled-int Dijkstra over (a filtered subset of) g.
+def _dijkstra(g: Graph, sources, *, edge_ok=None, parents: bool = False):
+    """Scaled-int single-source Dijkstra over (a filtered subset of) g.
 
-    sources is a list of (initial scaled distance, vertex) seeds.  Stops early
-    once `target` is settled or the frontier passes `radius` (scaled); beyond-
-    radius vertices are reported as INF.  Returns (dist, parent_edge) where
-    unreached entries are INF / None.  When `target` is given, only the target
-    entry and the parent chain leading to it are guaranteed final.
+    sources is a list of (initial scaled distance, vertex) seeds.  Vertices
+    settle in (distance, id) order and a parent edge is set on each strict
+    improvement only.  Returns (dist, parent_edge) where unreached entries
+    are INF / None.  Bounded or point-to-point questions go to _within.
     """
     dist = [INF] * g.n
     par = [None] * g.n if parents else None
@@ -190,19 +181,6 @@ def _dijkstra(
         d, u = heappop(heap)
         if d > dist[u]:
             continue
-        if radius is not None and d > radius:
-            dist[u] = INF
-            if par is not None:
-                par[u] = None
-            # everything still queued is at least this far out
-            for dd, vv in heap:
-                if dd <= dist[vv]:
-                    dist[vv] = INF
-                    if par is not None:
-                        par[vv] = None
-            break
-        if u == target:
-            break
         for v, eid, w in adj[u]:
             if edge_ok is not None and not edge_ok(eid):
                 continue

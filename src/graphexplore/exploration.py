@@ -47,7 +47,7 @@ from .core import (
     INF,
     EdgeSubset,
     Graph,
-    _dijkstra,
+    _within,
     as_fraction,
     mst_maximizing_overlap,
     require_connected,
@@ -479,25 +479,36 @@ def is_blocked(state: ExplorationState, g: Graph, eid: int, delta):
         raise ValueError(f"delta must be positive, got {d}")
     one_plus = 1 + d
     w = g._iw[eid]
+    mn = state.min_boundary_weight_scaled()
+    if mn is None or mn >= w:
+        return False, set()
     radius = one_plus.numerator * w // one_plus.denominator
-    blockers = _fresh_blockers(state, state.src[eid], w, radius)
-    for v in blockers:
-        state.record_witness(eid, v)
+    (blockers,) = _record_blockers(state, state.src[eid], [(eid, radius)])
     return bool(blockers), set(blockers)
 
 
-def _fresh_blockers(state: ExplorationState, u: int, w_scaled: int, radius: int):
-    """All unexplored endpoints of lighter boundary edges within the radius.
+def _record_blockers(state: ExplorationState, source: int, checks) -> list[list[int]]:
+    """The blocking predicate, for boundary edges leaving explored `source`.
 
-    The edge being checked (weight w_scaled) is never the lightest edge at a
+    checks holds (edge, scaled radius) pairs.  One bounded search from the
+    source serves them all: every unexplored v' within an edge's radius
+    whose lightest boundary edge minw[v'] is lighter than the edge blocks
+    it, and is recorded as its witness.  Returns each edge's witnesses, in
+    the order of checks.  The edge itself is never the lightest edge at a
     witness, so it needs no exclusion (fact 2 of the module docstring).
     """
-    mn = state.min_boundary_weight_scaled()
-    if mn is None or mn >= w_scaled:
-        return []
-    _, leaves = _dijkstra_explored(state, [(0, u)], radius=radius, want_leaves=True)
-    minw = state.minw
-    return [v for v, dv in leaves.items() if dv <= radius and minw[v] < w_scaled]
+    radius = max(r for _, r in checks)
+    _, leaves = _dijkstra_explored(state, [(0, source)], radius=radius, want_leaves=True)
+    minw, iw = state.minw, state.g._iw
+    near = [(v, dv, minw[v]) for v, dv in leaves.items() if dv <= radius]
+    found = []
+    for eid, bound in checks:
+        w = iw[eid]
+        blockers = [v for v, dv, bw in near if dv <= bound and bw < w]
+        for v in blockers:
+            state.record_witness(eid, v)
+        found.append(blockers)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +602,8 @@ class _Engine:
 
         mn is the lightest boundary weight.  Cheap verdicts first: nothing on
         the boundary is lighter, or an already recorded witness that is still
-        valid proves "blocked" with no distance work.  The rest share one
-        bounded Dijkstra from the source; every witness found is recorded.
+        valid proves "blocked" with no distance work.  The rest go to the
+        blocking predicate _record_blockers, which records every witness.
         """
         st = self.state
         iw = self.g._iw
@@ -608,19 +619,9 @@ class _Engine:
                 needy.append(eid)
         if not needy:
             return
-        radius = max(bnd[eid] for eid in needy)
-        _, leaves = _dijkstra_explored(st, [(0, source)], radius=radius, want_leaves=True)
-        minw = st.minw
-        near = [(v, dv, minw[v]) for v, dv in leaves.items() if dv <= radius]
-        for eid in needy:
-            w = iw[eid]
-            bound = bnd[eid]
-            blocked = False
-            for v, dv, bw in near:
-                if dv <= bound and bw < w:
-                    st.record_witness(eid, v)
-                    blocked = True
-            status[eid] = blocked
+        found = _record_blockers(st, source, [(eid, bnd[eid]) for eid in needy])
+        for eid, blockers in zip(needy, found):
+            status[eid] = bool(blockers)
 
     def _select(self, v: int):
         """First admissible boundary edge at the invocation vertex v, or None.
@@ -927,81 +928,33 @@ def taken_union_mst(g: Graph, log: TraversalLog) -> EdgeSubset:
     return EdgeSubset(g, set(b.ids) | set(mst_b.ids))
 
 
-def _bridges(g: Graph, ids) -> set[int]:
-    """Bridges of the subgraph formed by edge ids, by one iterative DFS.
-
-    Parallel edges are told apart by id, so a doubled edge is no bridge.
-    """
-    n = g.n
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid in ids:
-        u, v = g._edges[eid]
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    disc = [0] * n
-    low = [0] * n
-    clock = 0
-    bridges = set()
-    for root in range(n):
-        if disc[root] or not adj[root]:
-            continue
-        clock += 1
-        disc[root] = low[root] = clock
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            u, via, it = stack[-1]
-            for v, eid in it:
-                if eid == via:
-                    continue
-                if disc[v]:
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-                else:
-                    clock += 1
-                    disc[v] = low[v] = clock
-                    stack.append((v, eid, iter(adj[v])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-                    if low[u] > disc[p]:
-                        bridges.add(via)
-    return bridges
-
-
 def verify_blocking_cycle_property(g: Graph, log: TraversalLog, delta) -> CycleMinimalityReport:
+    """Check every edge of S = B union MST_B for a detour within (1+delta) w.
+
+    S's adjacency is built once; each edge then gets one bounded search
+    inside S without that edge, as in verify_spanner_minimality.  The search
+    reports a distance only when it is within the bound, so an entry's
+    detour is the exact distance when that is at most the bound and INF
+    otherwise (including when there is no detour at all).
+    """
     d = as_fraction(delta)
     one_plus = 1 + d
     p, q = one_plus.numerator, one_plus.denominator
     s_ids = taken_union_mst(g, log).ids
-    bridges = _bridges(g, s_ids)
+    sadj = [[t for t in row if t[1] in s_ids] for row in g._adj]
     iw = g._iw
     entries = []
     violations = []
     for eid in sorted(s_ids):
         bound = one_plus * g.weight(eid)
-        if eid in bridges:
-            # no cycle through a bridge: the detour does not exist
+        u, v = g._edges[eid]
+        dv = _within(sadj, u, v, p * iw[eid] // q, skip=eid)
+        if dv is None:
             entries.append({"edge": eid, "detour": INF, "bound": bound})
             continue
-        u, v = g.endpoints(eid)
-        dist, _ = _dijkstra(
-            g,
-            [(0, u)],
-            edge_ok=lambda e, eid=eid: e != eid and e in s_ids,
-            radius=p * iw[eid] // q,
-            target=v,
-        )
-        dv = dist[v]
-        detour = INF if dv == INF else Fraction(dv, g._scale)
+        detour = Fraction(dv, g._scale)
         entries.append({"edge": eid, "detour": detour, "bound": bound})
-        if detour != INF and detour <= bound:
-            violations.append(
-                {"edge": eid, "detour": str(detour), "bound": str(bound)}
-            )
+        violations.append({"edge": eid, "detour": str(detour), "bound": str(bound)})
     return CycleMinimalityReport(
         ok=not violations, checked=len(entries), entries=entries, violations=violations
     )

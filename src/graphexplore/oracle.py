@@ -407,7 +407,7 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
         return None
 
     def walk(pos, to, role, charge):
-        _, par = _dijkstra(g, [(0, pos)], edge_ok=inside, target=to, parents=True)
+        _, par = _dijkstra(g, [(0, pos)], edge_ok=inside, parents=True)
         path = []
         while to != pos:
             a, b = g.edges[par[to]]

@@ -358,8 +358,8 @@ class TestCycleProperty:
         assert not rep.ok and rep.violations
 
     def test_entries_match_per_edge_dijkstra(self, rng):
-        # random S = B + MST_B on multigraphs: bridges get INF without a
-        # search, every other edge its exact detour when within the bound
+        # random S = B + MST_B on multigraphs: every edge gets its exact
+        # detour when within the bound, INF otherwise (bridges included)
         bridged = cyclic = 0
         for _ in range(40):
             base = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 8), denom=2)

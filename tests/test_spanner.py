@@ -14,9 +14,9 @@ from graphexplore.core import (
 from graphexplore.errors import (
     DegenerateInstanceError,
     GraphStructureError,
-    ResourceGuardError,
 )
-from graphexplore.instances import gen_random_planar, gen_toroidal_grid
+from graphexplore.experiments import SPANNER_CHECKS, spanner_row
+from graphexplore.instances import InstanceSpec, build_instance, gen_random_planar, gen_toroidal_grid
 from graphexplore.oracle import brute_force_optspan, brute_force_optspan_edges
 from graphexplore.spanner import (
     greedy_spanner,
@@ -154,29 +154,23 @@ class TestStretchVerifier:
         bad = verify_spanner_stretch(g, EdgeSubset(g, {1}), 1)
         assert not bad.ok
 
-    def test_exact_mode_size_guard(self):
+    def test_exact_above_two_thousand_vertices(self):
+        # a unit cycle on 2001 vertices: every edge is checked, at any n
         n = 2001
-        g = Graph(n, [(i, i + 1, 1) for i in range(n - 1)])
-        h = EdgeSubset(g, range(n - 1))
-        with pytest.raises(ResourceGuardError):
-            verify_spanner_stretch(g, h, 1)
-        rep = verify_spanner_stretch(g, h, 1, mode="sampled", seed=3, count=50)
-        assert rep.ok and rep.pairs_checked <= 50
+        g = Graph(n, [(i, (i + 1) % n, 1) for i in range(n)])
+        rep = verify_spanner_stretch(g, EdgeSubset(g, range(n)), 1)
+        assert rep.ok and rep.pairs_checked == n
+        # without edge (2000, 0) its endpoints are 2000 apart
+        rep = verify_spanner_stretch(g, EdgeSubset(g, range(n - 1)), 1)
+        assert not rep.ok
+        assert rep.max_ratio == 2000
+        assert rep.worst_pair == (0, 2000)
 
-    def test_sampled_mode_needs_seed_and_count(self):
-        g = Graph(2, [(0, 1, 1)])
-        h = EdgeSubset(g, {0})
-        with pytest.raises(ValueError):
-            verify_spanner_stretch(g, h, 1, mode="sampled")
-        with pytest.raises(ValueError):
-            verify_spanner_stretch(g, h, 1, mode="typo")
-
-    def test_sampled_reproducible(self):
-        g = gen_random_planar(60, seed=4)
-        r = greedy_spanner(g, Fraction(1, 2))
-        a = verify_spanner_stretch(g, r.edges, Fraction(1, 2), mode="sampled", seed=11, count=200)
-        b = verify_spanner_stretch(g, r.edges, Fraction(1, 2), mode="sampled", seed=11, count=200)
-        assert (a.max_ratio, a.worst_pair, a.pairs_checked) == (b.max_ratio, b.worst_pair, b.pairs_checked)
+    def test_spanner_row_above_two_thousand_vertices(self):
+        built = build_instance(InstanceSpec("toroidal_grid", {"p": 46, "q": 46}, 1))
+        assert built.graph.n > 2000
+        row = spanner_row(built, Fraction(1, 2), SPANNER_CHECKS)
+        assert row["verified_ok"] == "yes"
 
 
 class TestCertificate:

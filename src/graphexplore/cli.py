@@ -4,8 +4,9 @@ Subcommands: explore (run exploration algorithms and bound-check the cost),
 spanner (build greedy spanners and bound-check lightness), verify (the full
 cross-check campaign), gen (materialize an instance to an edge-list file).
 
-Exit codes: 0 all enforced checks pass; 1 a bound or invariant was violated
-(the interesting outcome); 2 usage or input error.
+Exit codes: 0 every bound and verification verdict passes; 1 a bound or a
+verification failed or the engine raised InvariantViolation (the
+interesting outcome; rows are written first); 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ def _build_config(args, need: str) -> ExperimentConfig:
         config.out_path = args.out
     if args.format:
         config.out_format = args.format
-    if args.strict:
-        config.strict = True
     if need == "explore" and not config.algorithms:
         raise ValueError("explore needs --delta or config algorithms")
     if need == "spanner" and not config.epsilons:
@@ -109,7 +108,7 @@ def _emit(rows: list[dict], columns, config: ExperimentConfig) -> None:
 
 def _finish(rows, columns, config) -> int:
     _emit(rows, columns, config)
-    failures = report_failures(rows, config.strict)
+    failures = report_failures(rows)
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
@@ -170,7 +169,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), help="output format")
     sub.add_argument("--jobs", type=int, help="parallel worker count")
-    sub.add_argument("--strict", action="store_true", help="enforce all verifications")
 
 
 def build_parser() -> argparse.ArgumentParser:

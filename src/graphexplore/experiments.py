@@ -9,12 +9,11 @@ advisory conveniences.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Graph, as_fraction, minimum_spanning_tree, restrict
+from .core import as_fraction, minimum_spanning_tree, restrict
 from .errors import ParseError
 from .exploration import (
     ExplorationParams,
@@ -125,7 +124,6 @@ class ExperimentConfig:
     epsilons: list = field(default_factory=list)
     checks: tuple = EXPLORE_CHECKS + SPANNER_CHECKS
     jobs: int = 1
-    strict: bool = False
     out_path: str | None = None
     out_format: str = "csv"
 
@@ -154,7 +152,6 @@ class ExperimentConfig:
                 epsilons=d.get("epsilons", []),
                 checks=tuple(d.get("checks", EXPLORE_CHECKS + SPANNER_CHECKS)),
                 jobs=int(d.get("parallelism", d.get("jobs", 1))),
-                strict=bool(d.get("strict", False)),
                 out_path=out.get("path"),
                 out_format=out.get("format", "csv"),
             )
@@ -356,25 +353,20 @@ VERIFY_COLUMNS = ("instance", "check", "param", "ok", "detail")
 
 
 def _explore_task(args) -> list[dict]:
-    spec_json, algo_jsons, checks = args
-    built = build_instance(InstanceSpec.from_json_dict(json.loads(spec_json)))
-    return [
-        explore_row(built, AlgorithmSpec.from_json_dict(json.loads(a)), checks)
-        for a in algo_jsons
-    ]
+    spec, algos, checks = args
+    built = build_instance(spec)
+    return [explore_row(built, a, checks) for a in algos]
 
 
 def _spanner_task(args) -> list[dict]:
-    spec_json, eps_strs, checks = args
-    built = build_instance(InstanceSpec.from_json_dict(json.loads(spec_json)))
-    return [spanner_row(built, as_fraction(e), checks) for e in eps_strs]
+    spec, epsilons, checks = args
+    built = build_instance(spec)
+    return [spanner_row(built, e, checks) for e in epsilons]
 
 
 def _verify_task(args) -> list[dict]:
-    spec_json, config_json = args
-    config = ExperimentConfig.from_json_dict(json.loads(config_json))
-    built = build_instance(InstanceSpec.from_json_dict(json.loads(spec_json)))
-    return verify_rows(built, config)
+    spec, config = args
+    return verify_rows(build_instance(spec), config)
 
 
 def _run_tasks(task_fn, tasks, jobs: int) -> list[dict]:
@@ -399,10 +391,7 @@ def run_explore(config: ExperimentConfig) -> list[dict]:
     if not algos:
         raise ValueError("explore needs at least one algorithm")
     checks = tuple(c for c in config.checks if c in EXPLORE_CHECKS)
-    tasks = [
-        (json.dumps(s.to_json_dict()), [json.dumps(a.to_json_dict()) for a in algos], checks)
-        for s in config.instances
-    ]
+    tasks = [(s, algos, checks) for s in config.instances]
     rows = _run_tasks(_explore_task, tasks, config.jobs)
     rows.sort(key=_sort_key_explore)
     return rows
@@ -412,40 +401,28 @@ def run_spanner(config: ExperimentConfig) -> list[dict]:
     if not config.epsilons:
         raise ValueError("spanner needs at least one epsilon")
     checks = tuple(c for c in config.checks if c in SPANNER_CHECKS)
-    tasks = [
-        (json.dumps(s.to_json_dict()), [str(e) for e in config.epsilons], checks)
-        for s in config.instances
-    ]
+    tasks = [(s, config.epsilons, checks) for s in config.instances]
     rows = _run_tasks(_spanner_task, tasks, config.jobs)
     rows.sort(key=lambda r: (r["instance"], _num(r["epsilon"])))
     return rows
 
 
 def run_verify(config: ExperimentConfig) -> list[dict]:
-    cfg_json = json.dumps(
-        {
-            "instances": [s.to_json_dict() for s in config.instances],
-            "algorithms": [a.to_json_dict() for a in config.algorithms],
-            "epsilons": [str(e) for e in config.epsilons],
-        }
-    )
-    tasks = [(json.dumps(s.to_json_dict()), cfg_json) for s in config.instances]
+    tasks = [(s, config) for s in config.instances]
     rows = _run_tasks(_verify_task, tasks, config.jobs)
     rows.sort(key=lambda r: (r["instance"], r["check"], r["param"]))
     return rows
 
 
-def report_failures(rows: list[dict], strict: bool) -> list[str]:
-    """Row-level failures that should drive a nonzero exit.
-
-    Bound violations always count; verification verdicts count under strict.
-    """
+def report_failures(rows: list[dict]) -> list[str]:
+    """Row-level failures that drive a nonzero exit: bound violations and
+    failed verification verdicts."""
     bad = []
     for r in rows:
         if r.get("bound_ok") == "no":
             bad.append(f"{r['instance']}: bound exceeded")
         if r.get("ok") == "no":
             bad.append(f"{r['instance']}: check {r.get('check')} failed")
-        if strict and r.get("verified_ok", "yes").startswith("no"):
+        if r.get("verified_ok", "yes").startswith("no"):
             bad.append(f"{r['instance']}: verification failed ({r['verified_ok']})")
     return bad

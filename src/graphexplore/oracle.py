@@ -222,13 +222,6 @@ class CycleCheckReport:
     cycles_checked: int
     violations: list
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "cycles_checked": self.cycles_checked,
-            "violations": self.violations[:10],
-        }
-
 
 def enumerate_cycles_check(g: Graph, bound, edge_ids=None) -> CycleCheckReport:
     """Heaviest edge on every simple cycle must exceed its detour allowance.

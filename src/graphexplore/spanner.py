@@ -115,15 +115,6 @@ class StretchReport:
     worst_pair: tuple[int, int] | None
     violations: list
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "pairs_checked": self.pairs_checked,
-            "max_ratio": str(self.max_ratio),
-            "worst_pair": self.worst_pair,
-            "violations": self.violations[:10],
-        }
-
 
 def verify_spanner_stretch(g: Graph, h: EdgeSubset, epsilon) -> StretchReport:
     """Independent stretch check: d_h(u,v) <= (1+eps) d_g(u,v) for all pairs.
@@ -191,9 +182,6 @@ class MinimalityReport:
     checked: int
     redundant: list
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "checked": self.checked, "redundant": self.redundant}
-
 
 def verify_spanner_minimality(g_h: Graph, epsilon) -> MinimalityReport:
     """No single edge of g_h can be dropped and leave a (1+eps)-spanner of it.
@@ -224,14 +212,6 @@ class MstContainmentReport:
     mst_weight: Fraction
     sub_mst_weight: Fraction
     kruskal_contained: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "mst_weight": str(self.mst_weight),
-            "sub_mst_weight": str(self.sub_mst_weight),
-            "kruskal_contained": self.kruskal_contained,
-        }
 
 
 def verify_mst_containment(g: Graph, h: EdgeSubset) -> MstContainmentReport:

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 import graphexplore.experiments as experiments
+import graphexplore.exploration as exploration
 from graphexplore.cli import build_parser, main
-from graphexplore.core import Graph
 from graphexplore.errors import ParseError
 from graphexplore.experiments import (
     EXPLORE_COLUMNS,
@@ -194,6 +194,13 @@ class TestSpannerRows:
             assert row["lightness"] == str(res.lightness)
             assert row["kept_edges"] == str(len(res.edges))
 
+    def test_parallel_matches_serial(self):
+        instances = [spec_of(COMB), spec_of(PLANAR)]
+        eps = [Fraction(1, 2), Fraction(2)]
+        serial = run_spanner(ExperimentConfig(instances=instances, epsilons=eps))
+        parallel = run_spanner(ExperimentConfig(instances=instances, epsilons=eps, jobs=2))
+        assert serial == parallel
+
     def test_unknown_genus_leaves_bound_blank(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("3 3\n0 1 1 1\n1 2 1 1\n0 2 1 1\n", encoding="utf-8")
@@ -237,24 +244,33 @@ class TestVerifyRows:
         assert "tsp_permutation_agreement" not in names
         assert "cost_chain" in names
 
+    def test_parallel_matches_serial(self):
+        kw = dict(
+            instances=[spec_of(COMB), InstanceSpec("comb_lower_bound", {"k": 2, "delta": "1"})],
+            algorithms=[AlgorithmSpec("blocking", Fraction(1))],
+            epsilons=[Fraction(1, 2)],
+        )
+        serial = run_verify(ExperimentConfig(**kw))
+        parallel = run_verify(ExperimentConfig(**kw, jobs=2))
+        assert serial == parallel
+
 
 class TestReportFailures:
     def test_bound_violations_always_count(self):
         rows = [{"instance": "x", "bound_ok": "no"}]
-        assert report_failures(rows, strict=False)
+        assert report_failures(rows)
 
     def test_check_rows_always_count(self):
         rows = [{"instance": "x", "check": "cost_chain", "ok": "no"}]
-        assert report_failures(rows, strict=False)
+        assert report_failures(rows)
 
-    def test_verification_only_under_strict(self):
+    def test_verification_always_counts(self):
         rows = [{"instance": "x", "verified_ok": "no:stretch"}]
-        assert not report_failures(rows, strict=False)
-        assert report_failures(rows, strict=True)
+        assert report_failures(rows)
 
     def test_clean_rows_pass(self):
         rows = [{"instance": "x", "bound_ok": "yes", "verified_ok": "yes"}]
-        assert not report_failures(rows, strict=True)
+        assert not report_failures(rows)
 
 
 class TestCliRoundTrips:
@@ -319,7 +335,7 @@ class TestCliRoundTrips:
         out = tmp_path / "rows.csv"
         rc = main([
             "verify", "--instance", COMB, "--delta", "2",
-            "--epsilon", "1/2", "--out", str(out), "--strict",
+            "--epsilon", "1/2", "--out", str(out),
         ])
         assert rc == 0
         _, rows = read_csv(out)
@@ -439,15 +455,34 @@ class TestCliFailureExit:
         bad = {r["check"] for r in rows if r["ok"] == "no"}
         assert "spanner_stretch" in bad
 
-    def test_strict_escalates_verification(self, tmp_path, monkeypatch):
+    def test_failed_stretch_verdict_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             experiments, "verify_spanner_stretch",
             lambda *a, **k: SimpleNamespace(ok=False),
         )
-        args = ["spanner", "--instance", COMB, "--epsilon", "1/2",
-                "--out", str(tmp_path / "r.csv")]
-        assert main(args) == 0
-        assert main(args + ["--strict"]) == 1
+        out = tmp_path / "r.csv"
+        assert main(["spanner", "--instance", COMB, "--epsilon", "1/2", "--out", str(out)]) == 1
+        _, rows = read_csv(out)
+        assert rows[0]["verified_ok"] == "no:stretch"
+
+    def test_failed_explore_verdict_reaches_every_row(self, tmp_path, capsys, monkeypatch):
+        real = exploration.verify_cost_chain
+
+        def failing(g, log, delta, optspan_bound=None):
+            rep = real(g, log, delta, optspan_bound)
+            rep.ok = False
+            rep.failures.append({"why": "injected"})
+            return rep
+
+        monkeypatch.setattr(exploration, "verify_cost_chain", failing)
+        out = tmp_path / "rows.csv"
+        rc = main(["explore", "--instance", COMB, "--instance", PLANAR,
+                   "--delta", "2", "--out", str(out)])
+        assert rc == 1
+        assert "verification failed" in capsys.readouterr().err
+        _, rows = read_csv(out)
+        assert len(rows) == 2
+        assert all(r["verified_ok"] == "no:cost_chain" for r in rows)
 
     def test_invariant_violation_exits_one(self, capsys, monkeypatch):
         from graphexplore.errors import InvariantViolation

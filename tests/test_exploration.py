@@ -8,19 +8,16 @@ from graphexplore.core import (
     INF,
     EdgeSubset,
     Graph,
-    minimum_spanning_tree,
     shortest_path_distances,
 )
 from graphexplore.errors import (
     GraphStructureError,
-    InvariantViolation,
     OnlinePurityError,
     StateError,
 )
 from graphexplore.exploration import (
     ExplorationParams,
     ExplorationState,
-    OnlineView,
     TieBreak,
     TraversalLog,
     TraversalStep,
@@ -58,7 +55,10 @@ def comb_cost(k: int, delta) -> Fraction:
 
 
 def assert_closed_walk(g: Graph, log: TraversalLog, start: int) -> None:
-    """The step sequence is one continuous closed walk over real edges."""
+    """The step sequence is one continuous closed walk over real edges, and
+    every verifier verdict stored in the log passed."""
+    for name, report in log.verification.items():
+        assert report.get("ok", True), name
     pos = start
     total = Fraction(0)
     for s in log.steps:
@@ -193,9 +193,11 @@ class TestBlockingPredicate:
         with pytest.raises(StateError):
             is_blocked(self.st, self.g, 0, self.delta)
 
-    def test_records_accumulate(self):
-        is_blocked(self.st, self.g, 10, self.delta)
-        assert self.st.blocker_records[10] == {8}
+    def test_records_nothing(self):
+        # re-activation records come from the witness sweep alone
+        blocked, wit = is_blocked(self.st, self.g, 10, self.delta)
+        assert blocked and wit == {8}
+        assert self.st.rec_by_witness == {} and self.st._active_wit == {}
 
 
 class TestCombLowerBound:
@@ -488,6 +490,5 @@ def test_engine_matches_reference_definition(seed, delta, kind):
     ]
     assert log.steps == ref.steps
     assert log.total_cost == ref.total_cost
-    # the sweep's records are exactly the definition's; checks may add more
-    for e, xs in ref.blocker_records.items():
-        assert xs <= log.blocker_records.get(e, frozenset())
+    assert log.blocker_records == ref.blocker_records
+    assert all(log.verification[name]["ok"] for name in ("cost_chain", "cycle_minimality"))

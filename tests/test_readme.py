@@ -1,12 +1,21 @@
-"""Every ```python block in README.md runs as written."""
+"""Every ```python block and every `graphexplore ...` shell example in
+README.md runs as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from graphexplore.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+COMMANDS = [
+    shlex.split(block.replace("\\\n", " "))
+    for block in re.findall(r"^```\n(graphexplore .*?)^```", TEXT, re.M | re.S)
+]
 
 
 def test_readme_has_python_blocks():
@@ -16,3 +25,13 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md block {index}", "exec"), {"__name__": "readme"})
+
+
+def test_readme_has_cli_examples():
+    assert COMMANDS
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[1])
+def test_readme_cli_example_exits_zero(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == 0

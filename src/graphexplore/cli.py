@@ -5,8 +5,9 @@ spanner (build greedy spanners and bound-check lightness), verify (the full
 cross-check campaign), gen (materialize an instance to an edge-list file).
 
 Exit codes: 0 every bound and verification verdict passes; 1 a bound or a
-verification failed or the engine raised InvariantViolation (the
-interesting outcome; rows are written first); 2 usage or input error.
+verification failed or an instance's task raised (the interesting outcome;
+every row, error rows included, is written first); 2 usage or input error
+found before any task runs.
 """
 
 from __future__ import annotations
@@ -45,12 +46,17 @@ _USAGE_ERRORS = (ParseError, GenerationError, GraphStructureError, ValueError,
 
 
 def _parse_instance_arg(text: str, seed: int | None) -> InstanceSpec:
-    """--instance accepts an InstanceSpec JSON object or an edge-list path."""
+    """--instance accepts an InstanceSpec JSON object or an edge-list path.
+
+    A path that names no file is a usage error here, before any task runs.
+    """
     text = text.strip()
     if text.startswith("{"):
         spec = InstanceSpec.from_json_dict(json.loads(text))
-    else:
+    elif Path(text).is_file():
         spec = InstanceSpec(family="file", params={"path": text})
+    else:
+        raise ParseError(f"--instance {text!r} is neither a JSON spec nor a file")
     if seed is not None:
         spec = replace(spec, seed=seed)
     return spec

@@ -117,6 +117,13 @@ class AlgorithmSpec:
         return cls(name=d["name"], delta=d.get("delta"))
 
 
+# every key a config file may use; "jobs" and "parallelism" are synonyms
+_CONFIG_KEYS = frozenset(
+    {"instances", "algorithms", "epsilons", "checks", "parallelism", "jobs", "output"}
+)
+_OUTPUT_KEYS = frozenset({"path", "format"})
+
+
 @dataclass
 class ExperimentConfig:
     instances: list
@@ -142,10 +149,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
+        """Parse a config file's object; unknown keys are a ParseError."""
+        out = d.get("output", {}) if isinstance(d, dict) else None
+        if not isinstance(out, dict):
+            raise ParseError("bad experiment config: expected a JSON object")
+        unknown = sorted(d.keys() - _CONFIG_KEYS) + sorted(
+            f"output.{k}" for k in out.keys() - _OUTPUT_KEYS
+        )
+        if unknown:
+            raise ParseError(f"bad experiment config: unknown keys {', '.join(unknown)}")
         try:
             instances = [InstanceSpec.from_json_dict(i) for i in d["instances"]]
             algorithms = [AlgorithmSpec.from_json_dict(a) for a in d.get("algorithms", [])]
-            out = d.get("output", {})
             return cls(
                 instances=instances,
                 algorithms=algorithms,
@@ -369,12 +384,35 @@ def _verify_task(args) -> list[dict]:
     return verify_rows(build_instance(spec), config)
 
 
-def _run_tasks(task_fn, tasks, jobs: int) -> list[dict]:
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(task_fn, tasks))
+def _error_row(columns, spec: InstanceSpec, exc: Exception) -> dict:
+    """The row for an instance whose task raised `exc`: every column blank
+    except the instance and the verdict, which names the exception."""
+    row = dict.fromkeys(columns, "")
+    row["instance"] = spec.label
+    if "check" in row:
+        row.update(check="error", ok="no", detail=f"{type(exc).__name__}: {exc}")
     else:
-        chunks = [task_fn(t) for t in tasks]
+        row["verified_ok"] = f"error:{type(exc).__name__}"
+    return row
+
+
+def _guarded(job) -> list[dict]:
+    """Run one task; an exception becomes one error row for its instance,
+    so it cannot cancel the rest of the batch."""
+    task_fn, columns, task = job
+    try:
+        return task_fn(task)
+    except Exception as exc:
+        return [_error_row(columns, task[0], exc)]
+
+
+def _run_tasks(task_fn, columns, tasks, jobs: int) -> list[dict]:
+    work = [(task_fn, columns, t) for t in tasks]
+    if jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_guarded, work))
+    else:
+        chunks = [_guarded(w) for w in work]
     return [r for chunk in chunks for r in chunk]
 
 
@@ -392,7 +430,7 @@ def run_explore(config: ExperimentConfig) -> list[dict]:
         raise ValueError("explore needs at least one algorithm")
     checks = tuple(c for c in config.checks if c in EXPLORE_CHECKS)
     tasks = [(s, algos, checks) for s in config.instances]
-    rows = _run_tasks(_explore_task, tasks, config.jobs)
+    rows = _run_tasks(_explore_task, EXPLORE_COLUMNS, tasks, config.jobs)
     rows.sort(key=_sort_key_explore)
     return rows
 
@@ -402,27 +440,28 @@ def run_spanner(config: ExperimentConfig) -> list[dict]:
         raise ValueError("spanner needs at least one epsilon")
     checks = tuple(c for c in config.checks if c in SPANNER_CHECKS)
     tasks = [(s, config.epsilons, checks) for s in config.instances]
-    rows = _run_tasks(_spanner_task, tasks, config.jobs)
+    rows = _run_tasks(_spanner_task, SPANNER_COLUMNS, tasks, config.jobs)
     rows.sort(key=lambda r: (r["instance"], _num(r["epsilon"])))
     return rows
 
 
 def run_verify(config: ExperimentConfig) -> list[dict]:
     tasks = [(s, config) for s in config.instances]
-    rows = _run_tasks(_verify_task, tasks, config.jobs)
+    rows = _run_tasks(_verify_task, VERIFY_COLUMNS, tasks, config.jobs)
     rows.sort(key=lambda r: (r["instance"], r["check"], r["param"]))
     return rows
 
 
 def report_failures(rows: list[dict]) -> list[str]:
-    """Row-level failures that drive a nonzero exit: bound violations and
-    failed verification verdicts."""
+    """Row-level failures that drive a nonzero exit: bound violations,
+    failed verification verdicts and error rows."""
     bad = []
     for r in rows:
         if r.get("bound_ok") == "no":
             bad.append(f"{r['instance']}: bound exceeded")
         if r.get("ok") == "no":
-            bad.append(f"{r['instance']}: check {r.get('check')} failed")
-        if r.get("verified_ok", "yes").startswith("no"):
+            detail = f" ({r['detail']})" if r.get("detail") else ""
+            bad.append(f"{r['instance']}: check {r.get('check')} failed{detail}")
+        if r.get("verified_ok", "yes").startswith(("no", "error")):
             bad.append(f"{r['instance']}: verification failed ({r['verified_ok']})")
     return bad

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from operator import add
+
+import numpy as np
 
 from .core import (
     INF,
@@ -47,12 +48,19 @@ class TourResult:
     order: tuple[int, ...]
 
 
+def _metric_closure(g: Graph) -> list[list[int]]:
+    """All-pairs shortest distances of a connected g, in scaled ints."""
+    return [_dijkstra(g, [(0, s)])[0] for s in range(g.n)]
+
+
 def exact_tsp(g: Graph, start: int = 0) -> TourResult:
     """Cheapest closed walk visiting every vertex, by Held-Karp.
 
     Works on the metric closure, so the reported order is the visiting
-    order and consecutive vertices may be far apart in g.  Guarded to
-    n <= 15.
+    order and consecutive vertices may be far apart in g.  The subset table
+    is filled one popcount layer at a time with integer NumPy arrays: int64
+    when no sum the DP forms can reach 2^62, Python ints (dtype=object)
+    otherwise.  Guarded to n <= 15.
     """
     require_connected(g, "exact_tsp")
     n = g.n
@@ -62,47 +70,43 @@ def exact_tsp(g: Graph, start: int = 0) -> TourResult:
         raise ValueError(f"start {start} out of range")
     if n == 1:
         return TourResult(cost=Fraction(0), order=(start,))
-    # metric closure in scaled ints
-    dmat = []
-    for s in range(n):
-        dist, _ = _dijkstra(g, [(0, s)])
-        dmat.append(dist)
+    dmat = _metric_closure(g)
     others = [v for v in range(n) if v != start]
     k = len(others)
     full = (1 << k) - 1
-    # col[j][i]: cost of the hop others[i] -> others[j]
-    col = [[dmat[a][b] for a in others] for b in others]
-    # dp[mask][j]: cheapest start -> ... -> others[j] visiting exactly the
-    # others in mask (j among them); INF where j is not in mask
-    dp: list[list] = [None] * (full + 1)
-    for j, v in enumerate(others):
-        row = [INF] * k
-        row[j] = dmat[start][v]
-        dp[1 << j] = row
-    for mask in range(1, full + 1):
-        if not mask & (mask - 1):
-            continue
-        row = [INF] * k
-        bits = mask
-        while bits:
-            bit = bits & -bits
-            j = bit.bit_length() - 1
-            row[j] = min(map(add, dp[mask ^ bit], col[j]))
-            bits ^= bit
-        dp[mask] = row
-    closing = [dp[full][j] + dmat[v][start] for j, v in enumerate(others)]
-    best = min(closing)
+    top = max(map(max, dmat))
+    # a walk of at most n hops costs at most n * top, below the sentinel; the
+    # largest sum formed, the sentinel plus one hop, is below (top+1) * (n+2)
+    unset = (top + 1) * n
+    dtype = np.int64 if (top + 1) * (n + 2) < 2**62 else object
+    # hop[i, j]: cost of the hop others[i] -> others[j]
+    hop = np.array([[dmat[a][b] for b in others] for a in others], dtype=dtype)
+    # dp[mask, j]: cheapest start -> ... -> others[j] visiting exactly the
+    # others in mask (j among them); the sentinel where j is not in mask
+    dp = np.full((full + 1, k), unset, dtype=dtype)
+    ids = np.arange(k)
+    dp[1 << ids, ids] = np.array([dmat[start][v] for v in others], dtype=dtype)
+    masks = np.arange(full + 1)
+    popcount = sum((masks >> b) & 1 for b in range(k))
+    for size in range(2, k + 1):
+        layer = masks[popcount == size]
+        for j in range(k):
+            sel = layer[(layer >> j) & 1 == 1]
+            dp[sel, j] = (dp[sel ^ (1 << j)] + hop[:, j]).min(axis=1)
+    closing = dp[full] + np.array([dmat[v][start] for v in others], dtype=dtype)
     # rebuild the visiting order backwards: at each step take the first
-    # predecessor whose row entry plus the hop reproduces the current cost
+    # predecessor whose entry plus the hop reproduces the current cost, which
+    # is the first index of the minimum
+    j = int(np.argmin(closing))
+    best = int(closing[j])
     order = []
-    mask, j = full, closing.index(best)
+    mask = full
     while True:
         order.append(others[j])
         prev = mask ^ (1 << j)
         if not prev:
             break
-        via = list(map(add, dp[prev], col[j]))
-        j, mask = via.index(dp[mask][j]), prev
+        j, mask = int(np.argmin(dp[prev] + hop[:, j])), prev
     order.reverse()
     return TourResult(cost=Fraction(best, g._scale), order=(start, *order, start))
 
@@ -326,10 +330,7 @@ def brute_force_exploration(g: Graph, start: int = 0) -> TourResult:
         raise ResourceGuardError(f"brute_force_exploration guarded to n <= 8 (got {n})")
     if not (0 <= start < n):
         raise ValueError(f"start {start} out of range")
-    dmat = []
-    for s in range(n):
-        dist, _ = _dijkstra(g, [(0, s)])
-        dmat.append(dist)
+    dmat = _metric_closure(g)
     others = [v for v in range(n) if v != start]
     best = None
     for perm in permutations(others):

@@ -32,6 +32,8 @@ from graphexplore.spanner import greedy_spanner
 
 COMB = '{"family": "comb_lower_bound", "params": {"k": 3, "delta": "2"}}'
 PLANAR = '{"family": "random_planar", "params": {"points": 25}, "seed": 2}'
+GRID = '{"family": "grid", "params": {"p": 3, "q": 3}}'
+BAD_COMB = '{"family": "comb_lower_bound", "params": {"k": 0, "delta": "2"}}'
 
 
 def spec_of(text: str) -> InstanceSpec:
@@ -119,6 +121,20 @@ class TestExperimentConfig:
             {"instances": [json.loads(COMB)], "parallelism": 3}
         )
         assert cfg.jobs == 3
+        cfg = ExperimentConfig.from_json_dict({"instances": [json.loads(COMB)], "jobs": 2})
+        assert cfg.jobs == 2
+
+    def test_unknown_keys_are_named(self):
+        with pytest.raises(ParseError, match="algoritms, strict"):
+            ExperimentConfig.from_json_dict(
+                {"instances": [json.loads(COMB)], "strict": True, "algoritms": []}
+            )
+        with pytest.raises(ParseError, match="output.fmt"):
+            ExperimentConfig.from_json_dict(
+                {"instances": [json.loads(COMB)], "output": {"fmt": "csv"}}
+            )
+        with pytest.raises(ParseError):
+            ExperimentConfig.from_json_dict({"instances": [json.loads(COMB)], "output": "x"})
 
     def test_from_json_bad_input_is_parse_error(self):
         with pytest.raises(ParseError):
@@ -253,6 +269,47 @@ class TestVerifyRows:
         serial = run_verify(ExperimentConfig(**kw))
         parallel = run_verify(ExperimentConfig(**kw, jobs=2))
         assert serial == parallel
+
+
+class TestErrorRows:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_instance_keeps_the_batch(self, tmp_path, capsys, jobs):
+        out = tmp_path / "rows.csv"
+        rc = main(["explore", "--instance", GRID, "--instance", BAD_COMB,
+                   "--delta", "1", "--jobs", jobs, "--out", str(out)])
+        assert rc == 1
+        header, rows = read_csv(out)
+        assert header == list(EXPLORE_COLUMNS)
+        by_instance = {r["instance"]: r for r in rows}
+        assert len(rows) == 2
+        assert by_instance[spec_of(GRID).label]["verified_ok"] == "yes"
+        bad = by_instance[spec_of(BAD_COMB).label]
+        assert bad["verified_ok"] == "error:ValueError"
+        assert "error:ValueError" in capsys.readouterr().err
+
+    def test_spanner_error_row(self):
+        cfg = ExperimentConfig(instances=[spec_of(BAD_COMB), spec_of(COMB)],
+                               epsilons=[Fraction(1, 2)])
+        rows = run_spanner(cfg)
+        assert [r["verified_ok"] for r in rows] == ["error:ValueError", "yes"]
+        assert set(rows[0]) == set(SPANNER_COLUMNS)
+
+    def test_verify_error_row_carries_the_message(self):
+        cfg = ExperimentConfig(instances=[spec_of(BAD_COMB)],
+                               algorithms=[AlgorithmSpec("blocking", "1")])
+        (row,) = run_verify(cfg)
+        assert row["check"] == "error" and row["ok"] == "no"
+        assert row["detail"] == "ValueError: k must be a positive int, got 0"
+        assert report_failures([row])
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupted(built, algo, checks):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "explore_row", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_explore(ExperimentConfig(instances=[spec_of(GRID)],
+                                         algorithms=[AlgorithmSpec("blocking", "1")]))
 
 
 class TestReportFailures:
@@ -406,6 +463,15 @@ class TestCliErrors:
         assert main(["explore", "--config", str(p), "--delta", "1"]) == 2
         p.write_text('{"instances": []}', encoding="utf-8")
         assert main(["explore", "--config", str(p), "--delta", "1"]) == 2
+
+    def test_misspelt_config_key_is_named(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "instances": [json.loads(GRID)],
+            "algoritms": [{"name": "blocking", "delta": "2"}],
+        }), encoding="utf-8")
+        assert main(["explore", "--config", str(p), "--delta", "1"]) == 2
+        assert "algoritms" in capsys.readouterr().err
 
     def test_gen_wants_exactly_one_instance(self):
         assert main(["gen", "--instance", COMB, "--instance", PLANAR]) == 2

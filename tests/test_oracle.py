@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphexplore.core import EdgeSubset, Graph, minimum_spanning_tree, shortest_path_distances
+from graphexplore.core import INF, EdgeSubset, Graph, minimum_spanning_tree, shortest_path_distances
 from graphexplore.errors import GraphStructureError, ResourceGuardError
 from graphexplore.oracle import (
     _stretch_ok_all_pairs,
@@ -18,6 +19,49 @@ from graphexplore.oracle import (
 from graphexplore.spanner import verify_spanner_minimality
 
 from conftest import random_connected_graph
+
+
+def list_held_karp(g: Graph, start: int = 0) -> tuple[Fraction, tuple[int, ...]]:
+    """The list-based Held-Karp that exact_tsp's arrays replaced: one Python
+    list row per subset, float("inf") where the end vertex is not in the
+    subset, and the order rebuilt from the first matching predecessor."""
+    n = g.n
+    if n == 1:
+        return Fraction(0), (start,)
+    dmat = [shortest_path_distances(g, s).dist for s in range(n)]
+    others = [v for v in range(n) if v != start]
+    k = len(others)
+    full = (1 << k) - 1
+    col = [[dmat[a][b] for a in others] for b in others]
+    dp = [None] * (full + 1)
+    for j, v in enumerate(others):
+        row = [INF] * k
+        row[j] = dmat[start][v]
+        dp[1 << j] = row
+    for mask in range(1, full + 1):
+        if not mask & (mask - 1):
+            continue
+        row = [INF] * k
+        bits = mask
+        while bits:
+            bit = bits & -bits
+            j = bit.bit_length() - 1
+            row[j] = min(map(add, dp[mask ^ bit], col[j]))
+            bits ^= bit
+        dp[mask] = row
+    closing = [dp[full][j] + dmat[v][start] for j, v in enumerate(others)]
+    best = min(closing)
+    order = []
+    mask, j = full, closing.index(best)
+    while True:
+        order.append(others[j])
+        prev = mask ^ (1 << j)
+        if not prev:
+            break
+        via = list(map(add, dp[prev], col[j]))
+        j, mask = via.index(dp[mask][j]), prev
+    order.reverse()
+    return best, (start, *order, start)
 
 
 def tour_cost_replay(g: Graph, order) -> Fraction:
@@ -97,6 +141,62 @@ class TestExactTsp:
             g = random_connected_graph(rng, rng.randint(2, 8), rng.randint(0, 5))
             t = exact_tsp(g)
             assert tour_cost_replay(g, t.order) == t.cost
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_held_karp_matches_list_reference(seed):
+    # zero and tied weights and parallel edges make many tours tie, so equal
+    # orders pin the first-matching-predecessor rule, not just the cost
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    weights = [Fraction(0), Fraction(1), Fraction(1), Fraction(3, 2), Fraction(2)]
+    edges = [(rng.randrange(i), i, rng.choice(weights)) for i in range(1, n)]
+    for _ in range(rng.randint(0, 8) if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(weights)))
+    if n > 1 and rng.random() < 0.5:
+        edges.append(edges[rng.randrange(len(edges))])  # an exact parallel copy
+    g = Graph(n, edges)
+    start = rng.randrange(n)
+    t = exact_tsp(g, start)
+    cost, order = list_held_karp(g, start)
+    assert t.cost == cost and t.order == order
+
+
+HUGE = [0, 1, 2**61, 2**62, 2**62 + 1, Fraction(2**62 + 1, 3)]
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_huge_weights_stay_exact(seed):
+    # closure distances near 2^62 fail the int64 check, so the DP runs on
+    # Python ints; float rounding would lose the +1s
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    edges = [(rng.randrange(i), i, rng.choice(HUGE[2:])) for i in range(1, n)]
+    for _ in range(rng.randint(0, 4)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(HUGE)))
+    g = Graph(n, edges)
+    start = rng.randrange(n)
+    t = exact_tsp(g, start)
+    assert isinstance(t.cost, Fraction)
+    assert t.cost == brute_force_exploration(g, start).cost
+    assert (t.cost, t.order) == list_held_karp(g, start)
+    assert tour_cost_replay(g, t.order) == t.cost
+
+
+_W_INT64_MAX = (2**62 // 10 - 1) // 7
+
+
+@pytest.mark.parametrize("w", [_W_INT64_MAX, _W_INT64_MAX + 1, 2 * _W_INT64_MAX])
+def test_int64_check_boundary_is_exact(w):
+    # an 8-vertex path: its end-to-end distance 7w is the closure's largest,
+    # and (7w + 1) * (8 + 2) < 2^62 holds for the first weight only
+    g = Graph(8, [(i, i + 1, w) for i in range(7)])
+    t = exact_tsp(g, 3)
+    assert t.cost == 14 * w == brute_force_exploration(g, 3).cost
 
 
 class TestPermutationCrossCheck:

@@ -1,6 +1,7 @@
 """Every ```python block and every `graphexplore ...` shell example in
-README.md runs as written."""
+README.md runs as written, and every ```json config block parses."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -8,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from graphexplore.cli import main
+from graphexplore.experiments import ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+CONFIGS = re.findall(r"^```json\n(.*?)^```", TEXT, re.M | re.S)
 COMMANDS = [
     shlex.split(block.replace("\\\n", " "))
     for block in re.findall(r"^```\n(graphexplore .*?)^```", TEXT, re.M | re.S)
@@ -35,3 +38,9 @@ def test_readme_has_cli_examples():
 def test_readme_cli_example_exits_zero(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv[1:]) == 0
+
+
+def test_readme_configs_parse():
+    assert CONFIGS
+    for block in CONFIGS:
+        assert ExperimentConfig.from_json_dict(json.loads(block)).instances

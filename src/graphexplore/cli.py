@@ -24,7 +24,6 @@ from .core import as_fraction
 from .errors import (
     GenerationError,
     GraphStructureError,
-    InvariantViolation,
     ParseError,
     ResourceGuardError,
 )
@@ -214,9 +213,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InvariantViolation as exc:
-        print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
-        return 1
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -67,7 +67,7 @@ class Graph:
         for wf in weights:
             scale = scale * wf.denominator // math.gcd(scale, wf.denominator)
         self._scale = scale
-        self._iw = tuple(int(wf * scale) for wf in weights)
+        self._iw = tuple(wf.numerator * (scale // wf.denominator) for wf in weights)
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
         for eid, (u, v) in enumerate(self._edges):
             w = self._iw[eid]
@@ -199,38 +199,57 @@ def _within(adj, u: int, v: int, radius, skip: int = -1):
     `adj` has the shape of `Graph._adj` (rows of (neighbour, edge id, scaled
     weight)) and may hold only some of a graph's edges; edge `skip` is
     ignored.  The search is bidirectional, one ball around u and one around
-    v, each grown from its smaller frontier key, and nothing beyond
-    `radius` is ever pushed.  Every relaxed edge that meets the other
-    ball's labels offers a u-v path; once the two frontier keys sum to at
+    v, each grown from its smaller frontier distance.  Heap keys encode
+    (distance, vertex) as one int, d * n + x with n = len(adj), as in the
+    explorer's Dijkstra.  Every relaxed edge that meets the other ball's
+    labels offers a u-v path; once the two frontier distances sum to at
     least the best such path, that path is shortest, and once they sum past
-    `radius`, no path is within it.  So the cost is local to two balls of
-    about half the radius.
+    `radius`, no path is within it.
+
+    Frontier pruning: a neighbour the other ball has not labelled yet is
+    pushed only if its distance plus the other frontier's distance is
+    within `radius`, since frontier distances never fall and the other
+    ball can label it no nearer than that.  A labelled neighbour is first
+    recorded as a meeting, then pushed if it is within `radius` itself.
+    So the cost is local to two balls of about half the radius.
     """
     if u == v:
         return 0
+    n = len(adj)
     dist_u, dist_v = {u: 0}, {v: 0}
-    heap_u, heap_v = [(0, u)], [(0, v)]
+    heap_u, heap_v = [u], [v]
+    du = dv = 0  # frontier distances: heap_u[0] // n and heap_v[0] // n
     best = INF
-    while heap_u and heap_v:
-        top = heap_u[0][0] + heap_v[0][0]
-        if top >= best or top > radius:
-            break
-        if heap_u[0][0] <= heap_v[0][0]:
-            heap, mine, other = heap_u, dist_u, dist_v
+    while du + dv < best and du + dv <= radius:
+        forward = du <= dv
+        if forward:
+            heap, mine, other, lim = heap_u, dist_u, dist_v, radius - dv
         else:
-            heap, mine, other = heap_v, dist_v, dist_u
-        d, x = heappop(heap)
-        if d > mine[x]:
-            continue
-        for y, eid, w in adj[x]:
-            nd = d + w
-            if nd > radius or eid == skip:
-                continue
-            if y in other and nd + other[y] < best:
-                best = nd + other[y]
-            if nd < mine.get(y, INF):
-                mine[y] = nd
-                heappush(heap, (nd, y))
+            heap, mine, other, lim = heap_v, dist_v, dist_u, radius - du
+        key = heappop(heap)
+        d = key // n
+        x = key - d * n
+        if d == mine[x]:  # not a stale entry
+            for y, eid, w in adj[x]:
+                if eid == skip:
+                    continue
+                nd = d + w
+                if y in other:
+                    if nd + other[y] < best:
+                        best = nd + other[y]
+                    if nd > radius:
+                        continue
+                elif nd > lim:
+                    continue
+                if y not in mine or nd < mine[y]:
+                    mine[y] = nd
+                    heappush(heap, nd * n + y)
+        if not heap:
+            break
+        if forward:
+            du = heap[0] // n
+        else:
+            dv = heap[0] // n
     return None if best == INF or best > radius else best
 
 

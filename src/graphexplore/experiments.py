@@ -386,13 +386,15 @@ def _verify_task(args) -> list[dict]:
 
 def _error_row(columns, spec: InstanceSpec, exc: Exception) -> dict:
     """The row for an instance whose task raised `exc`: every column blank
-    except the instance and the verdict, which names the exception."""
+    except the instance and the verdict, which names the exception and its
+    message."""
     row = dict.fromkeys(columns, "")
     row["instance"] = spec.label
+    cause = f"{type(exc).__name__}: {exc}"
     if "check" in row:
-        row.update(check="error", ok="no", detail=f"{type(exc).__name__}: {exc}")
+        row.update(check="error", ok="no", detail=cause)
     else:
-        row["verified_ok"] = f"error:{type(exc).__name__}"
+        row["verified_ok"] = f"error:{cause}"
     return row
 
 

@@ -288,6 +288,8 @@ class ExplorationState:
         time (the explored set grows, distances shrink), and minw of its
         witness can only fall (fact 1), so a cached witness that is still
         unexplored proves e is blocked right now without any distance work.
+        An explored witness never becomes valid again, so the explored
+        entries scanned past are dropped from the cache.
         """
         lst = self._active_wit.get(eid)
         if not lst:
@@ -296,8 +298,9 @@ class ExplorationState:
         for i, v in enumerate(lst):
             if not explored[v]:
                 if i:
-                    lst[0], lst[i] = lst[i], lst[0]
+                    del lst[:i]
                 return True
+        lst.clear()
         return False
 
 

@@ -284,14 +284,16 @@ class TestErrorRows:
         assert len(rows) == 2
         assert by_instance[spec_of(GRID).label]["verified_ok"] == "yes"
         bad = by_instance[spec_of(BAD_COMB).label]
-        assert bad["verified_ok"] == "error:ValueError"
-        assert "error:ValueError" in capsys.readouterr().err
+        cause = "error:ValueError: k must be a positive int, got 0"
+        assert bad["verified_ok"] == cause
+        assert cause in capsys.readouterr().err
 
     def test_spanner_error_row(self):
         cfg = ExperimentConfig(instances=[spec_of(BAD_COMB), spec_of(COMB)],
                                epsilons=[Fraction(1, 2)])
         rows = run_spanner(cfg)
-        assert [r["verified_ok"] for r in rows] == ["error:ValueError", "yes"]
+        assert [r["verified_ok"] for r in rows] == [
+            "error:ValueError: k must be a positive int, got 0", "yes"]
         assert set(rows[0]) == set(SPANNER_COLUMNS)
 
     def test_verify_error_row_carries_the_message(self):
@@ -550,16 +552,19 @@ class TestCliFailureExit:
         assert len(rows) == 2
         assert all(r["verified_ok"] == "no:cost_chain" for r in rows)
 
-    def test_invariant_violation_exits_one(self, capsys, monkeypatch):
+    def test_invariant_violation_exits_one(self, tmp_path, capsys, monkeypatch):
         from graphexplore.errors import InvariantViolation
-        import graphexplore.cli as cli
 
-        def boom(config):
+        def boom(g, params):
             raise InvariantViolation("cost-charge-bound", witness=None)
 
-        monkeypatch.setattr(cli, "run_explore", boom)
-        assert main(["explore", "--instance", COMB, "--delta", "2"]) == 1
-        assert "INVARIANT VIOLATION" in capsys.readouterr().err
+        monkeypatch.setattr(experiments, "run_blocking", boom)
+        out = tmp_path / "rows.csv"
+        assert main(["explore", "--instance", COMB, "--delta", "2", "--out", str(out)]) == 1
+        (row,) = read_csv(out)[1]
+        cause = "error:InvariantViolation: invariant violated: cost-charge-bound"
+        assert row["verified_ok"] == cause
+        assert cause in capsys.readouterr().err
 
 
 class TestEntryPoints:

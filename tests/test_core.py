@@ -278,3 +278,36 @@ def test_bounded_search_matches_full_dijkstra(seed):
     dist, _ = _dijkstra(g, [(0, u)], edge_ok=lambda e: e in keep and e != skip)
     expect = dist[v] if dist[v] <= radius else None
     assert _within(adj, u, v, radius, skip) == (None if expect == INF else expect)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(min_value=2, max_value=30), data=st.data())
+def test_bounded_search_radius_boundary(n, data):
+    # every pair's exact distance is found at radius d and missed at d - 1,
+    # on graphs with zero weights, parallel edges and a skipped edge
+    weights = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), 3])
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = data.draw(st.lists(st.tuples(ends, weights), max_size=4 * n))
+    g = Graph(n, [(a, b, w) for (a, b), w in edges if a != b])
+    skip = data.draw(st.integers(-1, g.edge_count - 1))
+    for u in range(n):
+        dist, _ = _dijkstra(g, [(0, u)], edge_ok=lambda e: e != skip)
+        for v in range(n):
+            if v == u:
+                continue
+            d = dist[v]
+            if d == INF:
+                assert _within(g._adj, u, v, INF, skip) is None
+                continue
+            assert _within(g._adj, u, v, d, skip) == d
+            assert _within(g._adj, u, v, d - 1, skip) is None
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=50, max_denominator=60), max_size=12))
+def test_scaled_weights_are_exact(weights):
+    # mixed denominators, and always a zero weight
+    weights = weights + [Fraction(0)]
+    g = Graph(len(weights) + 1, [(0, i + 1, w) for i, w in enumerate(weights)])
+    scale = g._scale
+    for e, w in enumerate(weights):
+        assert g._iw[e] == int(w * scale)

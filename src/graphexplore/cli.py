@@ -77,7 +77,7 @@ def _build_config(args, need: str) -> ExperimentConfig:
         config.instances.extend(_parse_instance_arg(i, args.seed) for i in args.instance)
     if getattr(args, "delta", None):
         config.algorithms = config.algorithms + [
-            AlgorithmSpec("blocking", d if d == "log2n" else d) for d in args.delta
+            AlgorithmSpec("blocking", d) for d in args.delta
         ]
     if getattr(args, "epsilon", None):
         config.epsilons = config.epsilons + [as_fraction(e) for e in args.epsilon]

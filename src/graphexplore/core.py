@@ -155,7 +155,6 @@ class DistanceTable:
 
     source: int
     dist: tuple
-    restriction: str | None = None
 
     def __getitem__(self, v: int):
         return self.dist[v]
@@ -263,7 +262,7 @@ def shortest_path_distances(g: Graph, source: int, edge_filter=None) -> Distance
     dist, _ = _dijkstra(g, [(0, source)], edge_ok=edge_filter)
     scale = g._scale
     out = tuple(INF if d == INF else Fraction(d, scale) for d in dist)
-    return DistanceTable(source=source, dist=out, restriction="filtered" if edge_filter else None)
+    return DistanceTable(source=source, dist=out)
 
 
 class DisjointSet:

@@ -37,6 +37,12 @@ Four exact facts let the engine skip work without changing any decision:
 One Dijkstra kernel serves every distance question.  It pushes only explored
 vertices onto its heap and keeps tentative distances of unexplored leaves in
 a dict: a path may end at a leaf but never passes through one.
+
+Two verifiers check a finished run.  verify_cost_chain charges every step
+to a taken edge and bounds the charges.  verify_blocking_cycle_property
+checks that the taken edges B plus their MST form a minimal
+(1+delta)-spanner of themselves; it is spanner.verify_spanner_minimality
+on B union MST_B.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ from .core import (
     INF,
     EdgeSubset,
     Graph,
-    _within,
     as_fraction,
     mst_maximizing_overlap,
     require_connected,
@@ -61,6 +66,7 @@ from .errors import (
     OnlinePurityError,
     StateError,
 )
+from .spanner import MinimalityReport, verify_spanner_minimality
 
 
 # ---------------------------------------------------------------------------
@@ -886,25 +892,6 @@ def verify_cost_chain(g: Graph, log: TraversalLog, delta, optspan_bound=None) ->
     return report
 
 
-@dataclass
-class CycleMinimalityReport:
-    """Per-edge detour check over the taken edges plus their preferred MST.
-
-    For S = B union MST_B and every e = (u, v) in S, the distance from u to
-    v inside S without e must exceed (1+delta) * w(e); equivalently no proper
-    subgraph of S is a (1+delta)-spanner of S, and every cycle C in S obeys
-    w(C minus e) > (1+delta) w(e).
-    """
-
-    ok: bool
-    checked: int
-    entries: list
-    violations: list
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "checked": self.checked, "violations": self.violations}
-
-
 def taken_union_mst(g: Graph, log: TraversalLog) -> EdgeSubset:
     """B union MST_B: the taken boundary edges plus the overlap-preferring MST."""
     b = log.taken_boundary
@@ -912,36 +899,17 @@ def taken_union_mst(g: Graph, log: TraversalLog) -> EdgeSubset:
     return EdgeSubset(g, set(b.ids) | set(mst_b.ids))
 
 
-def verify_blocking_cycle_property(g: Graph, log: TraversalLog, delta) -> CycleMinimalityReport:
-    """Check every edge of S = B union MST_B for a detour within (1+delta) w.
+def verify_blocking_cycle_property(g: Graph, log: TraversalLog, delta) -> MinimalityReport:
+    """The cycle property of a blocking run: S = B union MST_B is a minimal
+    (1+delta)-spanner of itself.
 
-    S's adjacency is built once; each edge then gets one bounded search
-    inside S without that edge, as in verify_spanner_minimality.  The search
-    reports a distance only when it is within the bound, so an entry's
-    detour is the exact distance when that is at most the bound and INF
-    otherwise (including when there is no detour at all).
+    That is, no edge e = (u, v) of S has a detour inside S without e within
+    (1+delta) * w(e); equivalently every cycle C in S obeys
+    w(C minus e) > (1+delta) w(e).  This is verify_spanner_minimality on S
+    with epsilon = delta; its violations are the edges of S that have such
+    a detour, by their ids in g.
     """
-    d = as_fraction(delta)
-    one_plus = 1 + d
-    p, q = one_plus.numerator, one_plus.denominator
-    s_ids = taken_union_mst(g, log).ids
-    sadj = [[t for t in row if t[1] in s_ids] for row in g._adj]
-    iw = g._iw
-    entries = []
-    violations = []
-    for eid in sorted(s_ids):
-        bound = one_plus * g.weight(eid)
-        u, v = g._edges[eid]
-        dv = _within(sadj, u, v, p * iw[eid] // q, skip=eid)
-        if dv is None:
-            entries.append({"edge": eid, "detour": INF, "bound": bound})
-            continue
-        detour = Fraction(dv, g._scale)
-        entries.append({"edge": eid, "detour": detour, "bound": bound})
-        violations.append({"edge": eid, "detour": str(detour), "bound": str(bound)})
-    return CycleMinimalityReport(
-        ok=not violations, checked=len(entries), entries=entries, violations=violations
-    )
+    return verify_spanner_minimality(g, taken_union_mst(g, log), delta)
 
 
 # ---------------------------------------------------------------------------

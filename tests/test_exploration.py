@@ -321,8 +321,8 @@ class TestCycleProperty:
             g, ExplorationParams(delta=2, start=start, tie_break=TieBreak.adversarial(script))
         )
         rep = verify_blocking_cycle_property(g, log, 2)
-        assert rep.ok
-        assert all(e["detour"] == INF for e in rep.entries)
+        assert rep.ok and not rep.violations
+        assert rep.checked == g.edge_count == g.n - 1
 
     def test_agreement_with_cycle_enumeration(self, rng):
         from graphexplore.core import restrict
@@ -360,8 +360,9 @@ class TestCycleProperty:
         assert not rep.ok and rep.violations
 
     def test_entries_match_per_edge_dijkstra(self, rng):
-        # random S = B + MST_B on multigraphs: every edge gets its exact
-        # detour when within the bound, INF otherwise (bridges included)
+        # random S = B + MST_B on multigraphs: the report lists exactly the
+        # edges of S whose detour inside S without them is within
+        # (1+delta) w, with that detour, by their ids in g
         bridged = cyclic = 0
         for _ in range(40):
             base = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 8), denom=2)
@@ -382,13 +383,25 @@ class TestCycleProperty:
                     g, u, edge_filter=lambda e, eid=eid: e in s_ids and e != eid
                 ).dist[v]
                 bound = (1 + delta) * g.weight(eid)
-                expected.append({"edge": eid, "detour": d if d <= bound else INF, "bound": bound})
+                if d <= bound:
+                    expected.append({"edge": eid, "detour": str(d), "allowed": str(bound)})
                 bridged += d == INF
                 cyclic += d != INF
-            assert rep.entries == expected
+            assert rep.violations == expected
             assert rep.checked == len(s_ids)
-            assert rep.ok == all(e["detour"] == INF for e in expected)
+            assert rep.ok == (not expected)
         assert bridged and cyclic
+
+    def test_violations_use_graph_edge_ids(self):
+        # S = B + MST_B is edges 2..5 of g, a unit square that B takes whole;
+        # ids 0 and 1 are heavy edges outside S, so S's ids are not 0..3
+        g = Graph(4, [(0, 2, 9), (0, 1, 5), (0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+        log = TraversalLog("blocking", 0, (), Fraction(0), EdgeSubset(g, {2, 3, 4, 5}))
+        rep = verify_blocking_cycle_property(g, log, 2)
+        assert rep.checked == 4
+        assert rep.violations == [
+            {"edge": e, "detour": "3", "allowed": "3"} for e in (2, 3, 4, 5)
+        ]
 
 
 class TestOnlinePurity:

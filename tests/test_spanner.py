@@ -8,17 +8,18 @@ from graphexplore.core import (
     EdgeSubset,
     Graph,
     minimum_spanning_tree,
-    restrict,
     shortest_path_distances,
 )
 from graphexplore.errors import (
     DegenerateInstanceError,
     GraphStructureError,
 )
+import graphexplore.experiments as experiments
 from graphexplore.experiments import SPANNER_CHECKS, spanner_row
 from graphexplore.instances import InstanceSpec, build_instance, gen_random_planar, gen_toroidal_grid
 from graphexplore.oracle import brute_force_optspan, brute_force_optspan_edges
 from graphexplore.spanner import (
+    SpannerResult,
     greedy_spanner,
     lightness,
     verify_mst_containment,
@@ -200,22 +201,27 @@ class TestCertificate:
 class TestMinimality:
     def test_full_square_every_edge_redundant(self):
         g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-        rep = verify_spanner_minimality(g, 2)
+        rep = verify_spanner_minimality(g, EdgeSubset(g, range(4)), 2)
         assert not rep.ok
-        assert len(rep.redundant) == 4
+        assert len(rep.violations) == 4
 
     def test_square_tight_epsilon_minimal(self):
         g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-        rep = verify_spanner_minimality(g, Fraction(3, 2))
+        rep = verify_spanner_minimality(g, EdgeSubset(g, range(4)), Fraction(3, 2))
         assert rep.ok and rep.checked == 4
+
+    def test_foreign_subset_rejected(self):
+        g = Graph(2, [(0, 1, 1)])
+        other = Graph(2, [(0, 1, 1)])
+        with pytest.raises(ValueError):
+            verify_spanner_minimality(g, EdgeSubset(other, {0}), 1)
 
     def test_greedy_output_always_minimal(self, rng):
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(3, 12), rng.randint(0, 8))
             eps = rng.choice([Fraction(1, 4), Fraction(1), Fraction(5, 2)])
             r = greedy_spanner(g, eps)
-            sub, _ = restrict(g, r.edges)
-            assert verify_spanner_minimality(sub, eps).ok
+            assert verify_spanner_minimality(g, r.edges, eps).ok
 
 
 class TestMstContainment:
@@ -233,6 +239,29 @@ class TestMstContainment:
         rep = verify_mst_containment(g, EdgeSubset(g, {1, 2}))
         assert not rep.ok
         assert rep.sub_mst_weight == 5 and rep.mst_weight == 3
+
+    def test_non_spanning_subset_fails(self):
+        # h = {0} leaves vertex 2 isolated: no MST of h exists
+        g = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
+        rep = verify_mst_containment(g, EdgeSubset(g, {0}))
+        assert not rep.ok and not rep.kruskal_contained
+        assert rep.sub_mst_weight is None and rep.mst_weight == 3
+
+    def test_spanner_row_with_isolated_vertex(self, monkeypatch):
+        # a spanner that drops every edge at vertex 0 of a 3x3 grid gets a
+        # failed verdict in its row, not an error row
+        real = experiments.greedy_spanner
+
+        def isolating(g, eps):
+            res = real(g, eps)
+            kept = [e for e in res.edges.ids if 0 not in g.endpoints(e)]
+            return SpannerResult(EdgeSubset(g, kept), res.epsilon, res.lightness,
+                                 res.stretch_certificate)
+
+        monkeypatch.setattr(experiments, "greedy_spanner", isolating)
+        built = build_instance(InstanceSpec("grid", {"p": 3, "q": 3}, 0))
+        row = spanner_row(built, Fraction(1, 2), SPANNER_CHECKS)
+        assert row["verified_ok"] == "no:mst_containment,stretch"
 
     def test_equal_weight_alternative_tree_fails_literal_check(self):
         # unit square: ids {0,1,2} form the Kruskal tree; {0,1,3} spans at the
@@ -310,8 +339,7 @@ def test_spanner_contract_property(seed, eps):
     assert minimum_spanning_tree(g).ids <= r.edges.ids
     assert r.stretch_certificate <= 1 + eps
     assert verify_spanner_stretch(g, r.edges, eps).ok
-    sub, _ = restrict(g, r.edges)
-    assert verify_spanner_minimality(sub, eps).ok
+    assert verify_spanner_minimality(g, r.edges, eps).ok
 
 
 def all_pairs_stretch(g: Graph, ids, eps) -> tuple[bool, Fraction]:

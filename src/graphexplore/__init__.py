@@ -42,7 +42,6 @@ from .exploration import (
     TieBreak,
     TraversalLog,
     TraversalStep,
-    internally_explored_distance,
     is_blocked,
     run_blocking,
     run_nearest_neighbor,

@@ -20,7 +20,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import as_fraction
 from .errors import (
     GenerationError,
     GraphStructureError,
@@ -72,21 +71,26 @@ def _build_config(args, need: str) -> ExperimentConfig:
         config = ExperimentConfig(
             instances=[_parse_instance_arg(i, args.seed) for i in args.instance],
         )
-    # flag overrides stack on top of the file config
+    # flag overrides stack on top of the file config; replace() builds a new
+    # config, so its validation sees the final values
+    changes = {}
     if args.instance and args.config:
-        config.instances.extend(_parse_instance_arg(i, args.seed) for i in args.instance)
+        changes["instances"] = config.instances + [
+            _parse_instance_arg(i, args.seed) for i in args.instance
+        ]
     if getattr(args, "delta", None):
-        config.algorithms = config.algorithms + [
+        changes["algorithms"] = config.algorithms + [
             AlgorithmSpec("blocking", d) for d in args.delta
         ]
     if getattr(args, "epsilon", None):
-        config.epsilons = config.epsilons + [as_fraction(e) for e in args.epsilon]
+        changes["epsilons"] = config.epsilons + args.epsilon
     if args.jobs is not None:
-        config.jobs = args.jobs
+        changes["jobs"] = args.jobs
     if args.out:
-        config.out_path = args.out
+        changes["out_path"] = args.out
     if args.format:
-        config.out_format = args.format
+        changes["out_format"] = args.format
+    config = replace(config, **changes)
     if need == "explore" and not config.algorithms:
         raise ValueError("explore needs --delta or config algorithms")
     if need == "spanner" and not config.epsilons:

@@ -28,6 +28,7 @@ from .oracle import (
     brute_force_optspan,
     enumerate_cycles_check,
     exact_tsp,
+    mst_bounds,
 )
 from .spanner import (
     greedy_spanner,
@@ -346,8 +347,8 @@ def verify_rows(built: BuiltInstance, config: ExperimentConfig) -> list[dict]:
             b = brute_force_exploration(g, built.start)
             rows.append(row("tsp_permutation_agreement", None, t.cost == b.cost,
                             f"cost={t.cost}"))
-        lo = minimum_spanning_tree(g).weight()
-        rows.append(row("tsp_mst_sandwich", None, lo <= t.cost <= 2 * lo))
+        lo, hi = mst_bounds(g)
+        rows.append(row("tsp_mst_sandwich", None, lo <= t.cost <= hi))
     for eps in config.epsilons:
         res = greedy_spanner(g, eps)
         rows.append(row("spanner_stretch", eps, verify_spanner_stretch(g, res.edges, eps).ok))

@@ -14,8 +14,9 @@ unblocked boundary edge that either starts at its current recursion vertex
 or was earlier blocked by an edge ending at that vertex, recursing on every
 newly explored vertex and walking back afterwards.
 
-The engine only ever reads adjacency of explored vertices; an auditing view
-counts every adjacency read and raises if that discipline is broken.
+The engine only ever reads adjacency of explored vertices.  The state
+counts every adjacency read, and the Dijkstra kernel raises if it is asked
+to expand an unexplored vertex.
 
 Four exact facts let the engine skip work without changing any decision:
 
@@ -140,35 +141,10 @@ class ExplorationParams:
 
 
 # ---------------------------------------------------------------------------
-# the online view: all adjacency reads go through here
-
-class OnlineView:
-    """Gatekeeper between the engine and the hidden graph.
-
-    Grants adjacency only for explored vertices, counting every read.  A read
-    of an unexplored vertex's neighborhood is an engine bug and raises.  The
-    Dijkstra kernel performs the same check and count inline.
-    """
-
-    __slots__ = ("_adj", "explored", "adjacency_reads")
-
-    def __init__(self, g: Graph, explored: list[bool]):
-        self._adj = g._adj
-        self.explored = explored
-        self.adjacency_reads = 0
-
-    def incident(self, u: int):
-        self.adjacency_reads += 1
-        if not self.explored[u]:
-            raise OnlinePurityError(f"adjacency of unexplored vertex {u} requested")
-        return self._adj[u]
-
-
-# ---------------------------------------------------------------------------
 # exploration state
 
 class ExplorationState:
-    """Explored/learned sets, oriented boundary, and blocking bookkeeping.
+    """Explored set, oriented boundary, and blocking bookkeeping.
 
     Boundary edges live in flat per-edge lists: src[e] is the explored
     endpoint and far[e] the unexplored one (-1 for edges never on the
@@ -176,7 +152,8 @@ class ExplorationState:
     into[v] list the boundary edges at explored u and unexplored v.  For an
     explored u, inner[u] lists the (neighbour, edge, weight) entries of its
     explored neighbours, in adjacency order per neighbour: out[u] and
-    inner[u] together are u's adjacency, learned when u was explored.
+    inner[u] together are u's adjacency, read once when u was explored.
+    adjacency_reads counts those reads and the Dijkstra kernel's expansions.
 
     rec_by_witness[v'] lists the boundary edges that v' blocked just before
     v' was explored (the witness sweep); the invocation started at v'
@@ -188,7 +165,6 @@ class ExplorationState:
         n, m = g.n, g.edge_count
         self.g = g
         self.explored = [False] * n
-        self.learned = [False] * n
         self.explored_count = 0
         self.src = [-1] * m
         self.far = [-1] * m
@@ -202,13 +178,12 @@ class ExplorationState:
         self._minw_heap: list[tuple[int, int]] = []
         self.position = position
         self.cost = 0  # scaled
-        self.view = OnlineView(g, self.explored)
+        self.adjacency_reads = 0
         # stamped scratch arrays for Dijkstra (avoid per-call allocation)
         self._gen = 0
         self._dj_stamp = [0] * n
         self._dj_dist = [0] * n
         self._dj_pare = [-1] * n
-        self._dj_parv = [-1] * n
 
     @classmethod
     def initial(cls, g: Graph, start: int) -> "ExplorationState":
@@ -237,7 +212,7 @@ class ExplorationState:
             raise StateError(f"vertex {v} already explored")
         explored[v] = True
         self.explored_count += 1
-        self.learned[v] = True
+        self.adjacency_reads += 1
         # edges into v stop being boundary; edges to unexplored vertices start
         src, out, into, minw = self.src, self.out, self.into, self.minw
         for eid in into[v]:
@@ -246,9 +221,8 @@ class ExplorationState:
         minw[v] = None
         far, inner = self.far, self.inner
         mine = out[v]
-        for entry in self.view.incident(v):
+        for entry in self.g._adj[v]:
             other, eid, w = entry
-            self.learned[other] = True
             if explored[other]:
                 inner[v].append(entry)
                 inner[other].append((v, eid, w))
@@ -319,7 +293,7 @@ def _dijkstra_explored(
     radius=None,
     target=-1,
     parents=False,
-    stop_leaf=None,
+    stop_leaf=False,
     want_leaves=False,
 ):
     """Dijkstra whose paths pass through explored vertices only.
@@ -333,10 +307,11 @@ def _dijkstra_explored(
 
     Vertices settle in (distance, id) order.  The search stops before
     settling a vertex beyond `radius`, after settling `target` (which is then
-    not expanded), or, with stop_leaf, once the best leaf (stop_leaf >= 0:
-    that vertex; -1: any leaf) would settle before the next explored vertex.
-    Leaf distances up to the stopping point are then exact.  Every expansion
-    counts one adjacency read; an unexplored vertex is never expanded.
+    not expanded), or, with stop_leaf, once the nearest leaf would settle
+    before the next explored vertex.  Leaf distances up to the stopping
+    point are then exact.  Every expansion counts one adjacency read; an
+    unexplored vertex is never expanded, and a seed at one raises
+    OnlinePurityError.
     """
     state._gen += 1
     gen = state._gen
@@ -344,7 +319,6 @@ def _dijkstra_explored(
     stamp = state._dj_stamp
     dist = state._dj_dist
     pare = state._dj_pare
-    parv = state._dj_parv
     explored = state.explored
     inner, out, far, iw = state.inner, state.out, state.far, state.g._iw
     # heap keys encode (d, u) as d * n + u: one int compares like the pair
@@ -356,9 +330,8 @@ def _dijkstra_explored(
             dist[s] = d0
             if parents:
                 pare[s] = -1
-                parv[s] = -1
             heappush(heap, d0 * n + s)
-    want_leaves = want_leaves or stop_leaf is not None
+    want_leaves = want_leaves or stop_leaf
     # no key at or beyond `cut` is settled
     cut = INF if radius is None else (radius + 1) * n
     leaves: dict[int, int] = {}
@@ -376,7 +349,7 @@ def _dijkstra_explored(
         if u == target:
             break
         if not explored[u]:
-            state.view.adjacency_reads += reads
+            state.adjacency_reads += reads
             raise OnlinePurityError(f"adjacency of unexplored vertex {u} requested")
         reads += 1
         d = key // n
@@ -390,7 +363,6 @@ def _dijkstra_explored(
                 dist[other] = nd
                 if parents:
                     pare[other] = eid
-                    parv[other] = u
                 heappush(heap, nd * n + other)
         if not want_leaves:
             continue
@@ -402,60 +374,12 @@ def _dijkstra_explored(
                 leaves[other] = nd
                 if parents:
                     pare[other] = eid
-                    parv[other] = u
-                if stop_leaf is not None and (stop_leaf < 0 or other == stop_leaf):
+                if stop_leaf:
                     lk = nd * n + other + 1
                     if lk < cut:
                         cut = lk
-    state.view.adjacency_reads += reads
+    state.adjacency_reads += reads
     return settled, leaves
-
-
-def _path_to(state: ExplorationState, x: int) -> list[tuple[int, int, int]]:
-    """(edge, from, to) steps of the last parent-tracking search, seed to x."""
-    pare, parv = state._dj_pare, state._dj_parv
-    path = []
-    while parv[x] != -1:
-        path.append((pare[x], parv[x], x))
-        x = parv[x]
-    path.reverse()
-    return path
-
-
-def internally_explored_distance(state: ExplorationState, g: Graph, x: int, y: int):
-    """d(x, y): shortest path whose interior vertices are all explored.
-
-    Both endpoints must be learned (or explored).  Returns a Fraction, or
-    inf when no such path exists yet.
-    """
-    if g is not state.g:
-        raise ValueError("state belongs to a different graph")
-    for z in (x, y):
-        if not (0 <= z < g.n) or not state.learned[z]:
-            raise ValueError(f"vertex {z} is not learned")
-    if x == y:
-        return Fraction(0)
-    best_direct = None
-    if not state.explored[x]:
-        seeds = []
-        for other, eid, w in g._adj[x]:
-            if other == y and (best_direct is None or w < best_direct):
-                best_direct = w
-            if state.explored[other]:
-                seeds.append((w, other))
-    else:
-        seeds = [(0, x)]
-    if state.explored[y]:
-        _dijkstra_explored(state, seeds, target=y)
-        d = state._dj_dist[y] if state._dj_stamp[y] == -state._gen else None
-    else:
-        _, leaves = _dijkstra_explored(state, seeds, stop_leaf=y)
-        d = leaves.get(y)
-    if best_direct is not None and (d is None or best_direct < d):
-        d = best_direct
-    if d is None:
-        return INF
-    return Fraction(d, g._scale)
 
 
 def is_blocked(state: ExplorationState, g: Graph, eid: int, delta):
@@ -564,6 +488,49 @@ class TraversalLog:
 
 
 # ---------------------------------------------------------------------------
+# walks
+
+def _path_to(state: ExplorationState, x: int) -> list[tuple[int, int, int]]:
+    """(edge, from, to) steps of the last parent-tracking search, seed to x.
+
+    A seed has no parent edge; any other vertex's parent is the far end of
+    its parent edge.
+    """
+    pare, ends = state._dj_pare, state.g._edges
+    path = []
+    eid = pare[x]
+    while eid != -1:
+        a, b = ends[eid]
+        y = a if b == x else b
+        path.append((eid, y, x))
+        x, eid = y, pare[y]
+    path.reverse()
+    return path
+
+
+def _walk(state: ExplorationState, steps: list, to: int, role: str, charge: int, radius=None):
+    """Walk a shortest internally explored path from the position to `to`.
+
+    Appends its steps, charged to taken edge `charge`, and adds their cost.
+    No such path within `radius` (scaled) is an engine failure.
+    """
+    if state.position == to:
+        return
+    _dijkstra_explored(state, [(0, state.position)], radius=radius, target=to, parents=True)
+    if state._dj_stamp[to] != -state._gen:
+        raise InvariantViolation(
+            "walk-distance-bound",
+            witness=(state.position, to, role),
+            detail="no internally explored path within the guaranteed radius",
+        )
+    iw = state.g._iw
+    for eid, a, b in _path_to(state, to):
+        steps.append(TraversalStep(eid, a, b, role, charge))
+        state.cost += iw[eid]
+    state.position = to
+
+
+# ---------------------------------------------------------------------------
 # the explorer
 
 class _Engine:
@@ -647,25 +614,7 @@ class _Engine:
                     return eid
         return None
 
-    # -- movement -----------------------------------------------------------
-
-    def _walk(self, to: int, role: str, charge: int, radius: int) -> None:
-        st = self.state
-        if st.position == to:
-            return
-        _dijkstra_explored(st, [(0, st.position)], radius=radius, target=to, parents=True)
-        if st._dj_stamp[to] != -st._gen:
-            raise InvariantViolation(
-                "walk-distance-bound",
-                witness=(st.position, to, role),
-                detail="no internally explored path within the guaranteed radius",
-            )
-        iw = self.g._iw
-        steps = self.steps
-        for eid, a, b in _path_to(st, to):
-            steps.append(TraversalStep(eid, a, b, role, charge))
-            st.cost += iw[eid]
-        st.position = to
+    # -- witness sweep ------------------------------------------------------
 
     def _witness_sweep(self, x: int) -> None:
         """Record x as a blocker endpoint for every boundary edge it blocks.
@@ -723,16 +672,12 @@ class _Engine:
             if eid is None:
                 _, entered_by = frames.pop()
                 if frames:
-                    self._walk(
-                        frames[-1][0],
-                        RETURN,
-                        entered_by,
-                        self.p2 * iw[entered_by] // self.q2,
-                    )
+                    radius = self.p2 * iw[entered_by] // self.q2
+                    _walk(st, self.steps, frames[-1][0], RETURN, entered_by, radius)
                 continue
             y, x, w = st.src[eid], st.far[eid], iw[eid]
             if y != v:
-                self._walk(y, APPROACH, eid, self.bnd[eid])
+                _walk(st, self.steps, y, APPROACH, eid, self.bnd[eid])
             self._witness_sweep(x)
             self.steps.append(TraversalStep(eid, y, x, TAKE, eid))
             st.cost += w
@@ -760,7 +705,7 @@ class _Engine:
             blocker_records={e: frozenset(s) for e, s in records.items()},
         )
         log.verification["access_audit"] = {
-            "adjacency_reads": st.view.adjacency_reads,
+            "adjacency_reads": st.adjacency_reads,
             "violations": 0,
         }
         return log
@@ -801,7 +746,6 @@ class CostChainReport:
     total_cost: Fraction
     boundary_weight: Fraction
     bound: Fraction
-    per_edge: list
     failures: list
     optspan_bound: Fraction | None = None
     mst_b_weight: Fraction | None = None
@@ -852,19 +796,18 @@ def verify_cost_chain(g: Graph, log: TraversalLog, delta, optspan_bound=None) ->
         slot = slots[role]
         slot[charged_to] = slot.get(charged_to, 0) + w
     approach, take, ret = slots[APPROACH], slots[TAKE], slots[RETURN]
-    per_edge = []
     for eid in log.taken_boundary:
         wi = iw[eid]
         ai, ti, ri = approach.get(eid, 0), take.get(eid, 0), ret.get(eid, 0)
         w = g.weight(eid)
-        a, t, r = Fraction(ai, scale), Fraction(ti, scale), Fraction(ri, scale)
-        per_edge.append({"edge": eid, "approach": a, "take": t, "ret": r, "weight": w})
         if ai * q1 > p1 * wi:
-            failures.append({"edge": eid, "why": f"approach {a} > (1+delta)w = {one_plus * w}"})
+            why = f"approach {Fraction(ai, scale)} > (1+delta)w = {one_plus * w}"
+            failures.append({"edge": eid, "why": why})
         if ti != wi:
-            failures.append({"edge": eid, "why": f"take {t} != w = {w}"})
+            failures.append({"edge": eid, "why": f"take {Fraction(ti, scale)} != w = {w}"})
         if ri * q2 > p2 * wi:
-            failures.append({"edge": eid, "why": f"return {r} > (2+delta)w = {two_plus * w}"})
+            why = f"return {Fraction(ri, scale)} > (2+delta)w = {two_plus * w}"
+            failures.append({"edge": eid, "why": why})
     step_sum = Fraction(total, scale)
     if step_sum != log.total_cost:
         failures.append({"why": f"step sum {step_sum} != logged total {log.total_cost}"})
@@ -875,7 +818,6 @@ def verify_cost_chain(g: Graph, log: TraversalLog, delta, optspan_bound=None) ->
         total_cost=log.total_cost,
         boundary_weight=w_b,
         bound=bound,
-        per_edge=per_edge,
         failures=failures,
     )
     if optspan_bound is not None:
@@ -918,10 +860,10 @@ def verify_blocking_cycle_property(g: Graph, log: TraversalLog, delta) -> Minima
 def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
     """Repeatedly walk to the nearest unexplored learned vertex, then home.
 
-    Ties on distance go to the smaller vertex id.  Uses the same online view
-    as the blocking explorer; serves as the classic baseline whose ratio is
-    Theta(log n) in the worst case.  Each step's search stops as soon as the
-    nearest unexplored vertex is known.
+    Ties on distance go to the smaller vertex id.  Uses the same state,
+    Dijkstra kernel and walk as the blocking explorer; serves as the classic
+    baseline whose ratio is Theta(log n) in the worst case.  Each step's
+    search stops as soon as the nearest unexplored vertex is known.
     """
     require_connected(g, "run_nearest_neighbor")
     if not (0 <= start < g.n):
@@ -931,7 +873,7 @@ def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
     steps: list[TraversalStep] = []
     taken: list[int] = []
     while st.explored_count < g.n:
-        _, leaves = _dijkstra_explored(st, [(0, st.position)], parents=True, stop_leaf=-1)
+        _, leaves = _dijkstra_explored(st, [(0, st.position)], parents=True, stop_leaf=True)
         if not leaves:
             raise InvariantViolation("nearest-neighbor-frontier", witness=st.position)
         _, target = min((d, v) for v, d in leaves.items())
@@ -944,12 +886,8 @@ def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
         taken.append(final_eid)
         st.mark_explored(target)
         st.position = target
-    if st.position != start and taken:
-        _dijkstra_explored(st, [(0, st.position)], target=start, parents=True)
-        for eid, a, b in _path_to(st, start):
-            steps.append(TraversalStep(eid, a, b, RETURN, taken[-1]))
-            st.cost += iw[eid]
-        st.position = start
+    if taken:
+        _walk(st, steps, start, RETURN, taken[-1])
     log = TraversalLog(
         algorithm="nearest_neighbor",
         start=start,
@@ -958,7 +896,7 @@ def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
         taken_boundary=EdgeSubset(g, taken),
     )
     log.verification["access_audit"] = {
-        "adjacency_reads": st.view.adjacency_reads,
+        "adjacency_reads": st.adjacency_reads,
         "violations": 0,
     }
     return log

@@ -279,6 +279,13 @@ class InstanceSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "InstanceSpec":
+        """Parse a spec object; top-level keys other than family, params and
+        seed are a ParseError."""
+        if not isinstance(d, dict):
+            raise ParseError(f"instance spec must be a JSON object: {d!r}")
+        unknown = sorted(d.keys() - {"family", "params", "seed"})
+        if unknown:
+            raise ParseError(f"instance spec has unknown keys {', '.join(unknown)}: {d!r}")
         if "family" not in d:
             raise ValueError(f"instance spec needs a 'family': {d!r}")
         return cls(

@@ -26,15 +26,7 @@ from .core import (
     require_connected,
 )
 from .errors import ResourceGuardError
-from .exploration import (
-    APPROACH,
-    RETURN,
-    TAKE,
-    ExplorationState,
-    TraversalLog,
-    TraversalStep,
-    internally_explored_distance,
-)
+from .exploration import APPROACH, RETURN, TAKE, TraversalLog, TraversalStep
 
 _TSP_MAX_N = 15
 _REFERENCE_MAX_N = 16
@@ -350,18 +342,21 @@ def brute_force_exploration(g: Graph, start: int = 0) -> TourResult:
 def reference_blocking(g: Graph, params) -> TraversalLog:
     """The delta-blocking explorer computed straight from its definition.
 
-    At every select, "blocked" is recomputed over all boundary edges with
-    internally_explored_distance; nothing is cached.  Just before x is
-    explored, x is recorded against every boundary edge it blocks, and those
-    records alone re-activate edges at x.  Walks are shortest paths over
-    explored-to-explored edges, with the (distance, id) settling order and
+    Shares no state and no kernel with the engine.  At every select,
+    "blocked" is recomputed over all boundary edges; nothing is cached.  The
+    internally explored distance d(u, x) from explored u to unexplored x is
+    a plain Dijkstra over explored-to-explored edges plus the cheapest edge
+    from an explored vertex into x.  Just before x is explored, x is
+    recorded against every boundary edge it blocks, and those records alone
+    re-activate edges at x.  Walks are shortest paths over explored-to-
+    explored edges, with the (distance, id) settling order and
     first-improvement parents that the engine uses.  Guarded to n <= 16.
     """
     require_connected(g, "reference_blocking")
     if g.n > _REFERENCE_MAX_N:
         raise ResourceGuardError(f"reference_blocking guarded to n <= {_REFERENCE_MAX_N} (got {g.n})")
-    st = ExplorationState.initial(g, params.start)
-    explored = st.explored
+    explored = [False] * g.n
+    explored[params.start] = True
     prio = params.tie_break.priorities(g.edge_count)
     one_plus = 1 + params.delta
     records: dict[int, set[int]] = {}
@@ -383,11 +378,16 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
             if explored[a] != explored[b]
         ]
 
+    def distance(u, x):
+        """d(u, x), scaled, for explored u and unexplored x."""
+        du, _ = _dijkstra(g, [(0, u)], edge_ok=inside)
+        return min((du[z] + w for z, _, w in g._adj[x] if explored[z]), default=INF)
+
     def blocks(bnd, x, e, u):
         """Does unexplored x block boundary edge e whose explored end is u?"""
         w = g.weight(e)
         return any(x2 == x and g.weight(e2) < w for e2, _, x2 in bnd) and (
-            internally_explored_distance(st, g, u, x) <= one_plus * w
+            distance(u, x) <= one_plus * g._iw[e]
         )
 
     def select(v):
@@ -428,7 +428,7 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
             if x2 != x and blocks(bnd, x, e2, u2):
                 records.setdefault(e2, set()).add(x)
         steps.append(TraversalStep(e, u, x, TAKE, e))
-        st.mark_explored(x)
+        explored[x] = True
         pos = x
         taken.append(e)
         frames.append((x, e))

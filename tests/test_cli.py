@@ -475,6 +475,24 @@ class TestCliErrors:
         assert main(["explore", "--config", str(p), "--delta", "1"]) == 2
         assert "algoritms" in capsys.readouterr().err
 
+    def test_misspelt_instance_key_is_named(self, capsys):
+        spec = '{"family": "random_planar", "params": {"points": 6}, "sed": 5}'
+        assert main(["gen", "--instance", spec]) == 2
+        assert "sed" in capsys.readouterr().err
+
+    def test_misspelt_instance_key_in_config_is_named(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "instances": [{"family": "grid", "params": {"p": 3, "q": 3}, "sede": 1}],
+        }), encoding="utf-8")
+        assert main(["explore", "--config", str(p), "--delta", "1"]) == 2
+        assert "sede" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        assert main(["explore", "--instance", COMB, "--delta", "2", "--jobs", jobs]) == 2
+        assert "jobs" in capsys.readouterr().err
+
     def test_gen_wants_exactly_one_instance(self):
         assert main(["gen", "--instance", COMB, "--instance", PLANAR]) == 2
         assert main(["gen"]) == 2

@@ -168,7 +168,6 @@ def _cmd_gen(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON experiment config file")
     sub.add_argument(
         "--instance",
         action="append",
@@ -177,6 +176,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="override the instance seed")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), help="output format")
+
+
+def _add_batch(sub: argparse.ArgumentParser) -> None:
+    """The common flags plus the ones only the row-producing commands read."""
+    _add_common(sub)
+    sub.add_argument("--config", help="JSON experiment config file")
     sub.add_argument("--jobs", type=int, help="parallel worker count")
 
 
@@ -188,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("explore", help="run exploration algorithms, check cost bounds")
-    _add_common(pe)
+    _add_batch(pe)
     pe.add_argument(
         "--delta", action="append",
         help='blocking parameter as p/q or "log2n" (repeatable)',
@@ -196,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=_cmd_explore)
 
     ps = sub.add_parser("spanner", help="build greedy spanners, check lightness bounds")
-    _add_common(ps)
+    _add_batch(ps)
     ps.add_argument("--epsilon", action="append", help="stretch slack as p/q (repeatable)")
     ps.set_defaults(fn=_cmd_spanner)
 
     pv = sub.add_parser("verify", help="run the oracle cross-check campaign")
-    _add_common(pv)
+    _add_batch(pv)
     pv.add_argument("--delta", action="append", help="blocking parameters to campaign over")
     pv.add_argument("--epsilon", action="append", help="spanner parameters to campaign over")
     pv.set_defaults(fn=_cmd_verify)

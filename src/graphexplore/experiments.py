@@ -273,7 +273,7 @@ def spanner_row(built: BuiltInstance, epsilon: Fraction, checks) -> dict:
         "kept_edges": str(len(res.edges)),
         "spanner_weight": str(res.edges.weight()),
         "spanner_weight_float": _ffloat(res.edges.weight()),
-        "mst_weight": str(minimum_spanning_tree(g).weight()),
+        "mst_weight": str(res.mst_weight),
         "lightness": str(res.lightness),
         "lightness_float": _ffloat(res.lightness),
         "bound": _fmt(bound),

@@ -73,32 +73,223 @@ def gen_comb_lower_bound(k: int, delta) -> tuple[Graph, int, tuple[int, ...]]:
     return g, 0, script
 
 
+def _delaunay_edges(pts) -> set[tuple[int, int]] | None:
+    """Edges (u < v) of the Delaunay triangulation of points in [0, 1)^2.
+
+    The coordinates must be multiples of 2**-53 (as NumPy's uniform doubles
+    are), so X = x * 2**53 is an exact integer and every orientation and
+    in-circle decision below is an exact integer determinant.  Sweep-hull
+    (Sinclair, S-hull, 2016): seed with x0 (nearest the centre), x1 (its
+    nearest neighbour) and the x2 that minimises the circumradius, whose
+    circle is then empty; insert the rest in order of exact squared distance
+    to that circle's rational centre, so each lies strictly outside the hull
+    so far; join it to the hull edges it sees and Lawson-flip the edges
+    opposite it.  A float pseudo-angle hash only picks where the exact hull
+    walk starts.  A last pass checks every interior edge is strictly locally
+    Delaunay, so the result is the unique Delaunay triangulation.
+
+    Returns None when an exact zero decides: a duplicate point, all points
+    collinear, a point on the line of a hull edge it is tested against, or
+    an interior edge whose quad is cocircular.
+    """
+    scaled = np.asarray(pts, dtype=np.float64) * 2.0**53
+    if (not np.array_equal(scaled, np.floor(scaled))
+            or scaled.min() < 0 or scaled.max() >= 2.0**53):
+        raise ValueError("coordinates must be multiples of 2**-53 in [0, 1)")
+    X = scaled[:, 0].astype(np.int64).tolist()
+    Y = scaled[:, 1].astype(np.int64).tolist()
+    n = len(X)
+
+    half = 2**52
+    x0 = min(range(n), key=lambda i: ((X[i] - half) ** 2 + (Y[i] - half) ** 2, i))
+    ox, oy = X[x0], Y[x0]
+    x1 = min((i for i in range(n) if i != x0),
+             key=lambda i: ((X[i] - ox) ** 2 + (Y[i] - oy) ** 2, i))
+    ax, ay = X[x1] - ox, Y[x1] - oy
+    if ax == ay == 0:
+        return None
+    a2 = ax * ax + ay * ay
+    # circumcentre of (x0, x1, i) is x0 + (ux, uy) / d with d = 2 * cross(a, b)
+    x2 = None
+    for i in range(n):
+        bx, by = X[i] - ox, Y[i] - oy
+        cross = ax * by - ay * bx
+        if cross == 0:
+            continue
+        b2 = bx * bx + by * by
+        vx, vy = by * a2 - ay * b2, ax * b2 - bx * a2
+        r2 = vx * vx + vy * vy  # circumradius^2 * (2 * cross)^2
+        if x2 is None or r2 * d * d < (ux * ux + uy * uy) * (4 * cross * cross):
+            x2, ux, uy, d = i, vx, vy, 2 * cross
+    if x2 is None:
+        return None
+    if d < 0:
+        x1, x2 = x2, x1
+    # exact squared distance to the centre, scaled by d^2
+    dist = [(d * (X[i] - ox) - ux) ** 2 + (d * (Y[i] - oy) - uy) ** 2 for i in range(n)]
+    order = sorted((i for i in range(n) if i not in (x0, x1, x2)), key=dist.__getitem__)
+
+    # half-edge h runs from tri[h] to tri[h + 1] (mod 3 within its triangle),
+    # triangles counter-clockwise; opp[h] is the twin half-edge or -1 on the hull
+    tri = [x0, x1, x2]
+    opp = [-1, -1, -1]
+    nxt = [-1] * n  # hull successor (counter-clockwise); -1 off the hull
+    prv = [-1] * n
+    hull_edge = [-1] * n  # the hull half-edge leaving each hull vertex
+    for h, (u, w) in enumerate(((x0, x1), (x1, x2), (x2, x0))):
+        nxt[u], prv[w], hull_edge[u] = w, u, h
+
+    def orient(u, v, p) -> int:
+        """> 0 iff p is left of the line u -> v."""
+        return (X[v] - X[u]) * (Y[p] - Y[u]) - (Y[v] - Y[u]) * (X[p] - X[u])
+
+    def incircle(a, b, c, p) -> int:
+        """> 0 iff p is inside the circle through counter-clockwise a, b, c."""
+        px, py = X[p], Y[p]
+        adx, ady = X[a] - px, Y[a] - py
+        bdx, bdy = X[b] - px, Y[b] - py
+        cdx, cdy = X[c] - px, Y[c] - py
+        return ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+                + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+                + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
+
+    def legalize(stack) -> None:
+        """Flip until no edge on the stack is illegal.  Each stacked
+        half-edge h has the newest point opposite it in its triangle."""
+        while stack:
+            h = stack.pop()
+            g = opp[h]
+            if g == -1:
+                continue
+            t, s = h - h % 3, g - g % 3
+            h1, h2 = t + (h + 1) % 3, t + (h + 2) % 3
+            g1, g2 = s + (g + 1) % 3, s + (g + 2) % 3
+            a, b, c, q = tri[h], tri[h1], tri[h2], tri[g2]
+            if incircle(a, b, c, q) <= 0:
+                continue
+            # (a, b, c) + (b, a, q) -> (q, b, c) + (c, a, q)
+            tri[h], tri[g] = q, c
+            outer_qb, outer_ca = opp[g2], opp[h2]
+            for slot, twin, start in ((h, outer_qb, q), (g, outer_ca, c)):
+                opp[slot] = twin
+                if twin == -1:
+                    hull_edge[start] = slot
+                else:
+                    opp[twin] = slot
+            opp[h2], opp[g2] = g2, h2
+            stack.append(h)
+            stack.append(g1)
+
+    size = math.isqrt(n)
+    cx = ox + ux / d
+    cy = oy + uy / d
+    dx, dy = scaled[:, 0] - cx, scaled[:, 1] - cy
+    norm = np.abs(dx) + np.abs(dy)
+    ratio = np.divide(dx, norm, out=np.zeros(n), where=norm > 0)
+    angle = np.where(dy > 0, 3 - ratio, 1 + ratio) / 4
+    bucket = (np.floor(angle * size).astype(np.int64) % size).tolist()
+    hull_hash = [-1] * size
+    for v in (x0, x1, x2):
+        hull_hash[bucket[v]] = v
+
+    for p in order:
+        key = bucket[p]
+        for j in range(size):
+            start = hull_hash[(key + j) % size]
+            if start != -1 and nxt[start] != -1:
+                break
+        start = prv[start]
+        # find a hull edge v -> nxt[v] that p sees strictly from outside
+        v = start
+        while True:
+            w = nxt[v]
+            o = orient(v, w, p)
+            if o < 0:
+                break
+            if o == 0:
+                return None
+            v = w
+            if v == start:
+                raise AssertionError("sweep point inside the hull")
+        if v == start:
+            while True:
+                u = prv[v]
+                o = orient(u, v, p)
+                if o > 0:
+                    break
+                if o == 0:
+                    return None
+                v = u
+        first = v
+        # fan: triangle (w, v, p) on each visible hull edge v -> w
+        stack = []
+        into = -1  # half-edge p -> v of the previous fan triangle
+        while True:
+            w = nxt[v]
+            o = orient(v, w, p)
+            if o > 0:
+                break
+            if o == 0:
+                return None
+            t = len(tri)
+            tri += (w, v, p)
+            old = hull_edge[v]
+            opp += (old, into, -1)
+            opp[old] = t
+            if into == -1:
+                hull_edge[first] = t + 1
+            else:
+                opp[into] = t + 1
+            into = t + 2
+            stack.append(t)
+            if v != first:
+                nxt[v] = -1
+            v = w
+        last = v
+        nxt[first], prv[p], nxt[p], prv[last] = p, first, last, p
+        hull_edge[p] = into
+        hull_hash[key] = p
+        hull_hash[bucket[first]] = first
+        legalize(stack)
+
+    edges = set()
+    for h in range(len(tri)):
+        g = opp[h]
+        t = h - h % 3
+        a, b = tri[h], tri[t + (h + 1) % 3]
+        if g == -1 or h < g:
+            edges.add((a, b) if a < b else (b, a))
+        if g > h:
+            c = tri[t + (h + 2) % 3]
+            q = tri[g - g % 3 + (g + 2) % 3]
+            s = incircle(a, b, c, q)
+            if s == 0:
+                return None
+            if s > 0:
+                raise AssertionError(f"edge {a}-{b} is not locally Delaunay")
+    return edges
+
+
 def gen_random_planar(points: int, seed: int) -> Graph:
     """Delaunay triangulation of seeded uniform points in the unit square.
 
     Edge weights are the Euclidean lengths snapped to multiples of 2**-30.
-    Edges are listed in sorted (u, v) order.  Degenerate point sets (QHull
-    failure or a zero-length snapped edge) trigger an internal reseed, a few
-    times, before giving up.
+    Edges are listed in sorted (u, v) order.  Attempt k = 0..4 draws its
+    points from default_rng(seed + 1_000_003 * k).  The triangulation is
+    decided in exact integer arithmetic, and an attempt is skipped when one
+    of its decisions is an exact zero (a duplicate point, all points
+    collinear, a point on the line of a hull edge it is tested against, or a
+    cocircular interior edge) or when a snapped length is zero.  When all
+    five are skipped, GenerationError.
     """
-    from scipy.spatial import Delaunay
-    from scipy.spatial import QhullError
-
     if points < 3:
         raise ValueError(f"need at least 3 points, got {points}")
     for attempt in range(5):
         rng = np.random.default_rng(seed + 1_000_003 * attempt)
         pts = rng.random((points, 2))
-        try:
-            tri = Delaunay(pts)
-        except QhullError:
+        pairs = _delaunay_edges(pts)
+        if pairs is None:
             continue
-        pairs = set()
-        for simplex in tri.simplices:
-            a, b, c = int(simplex[0]), int(simplex[1]), int(simplex[2])
-            pairs.add((min(a, b), max(a, b)))
-            pairs.add((min(b, c), max(b, c)))
-            pairs.add((min(a, c), max(a, c)))
         edges = []
         ok = True
         for u, v in sorted(pairs):

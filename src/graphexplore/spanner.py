@@ -30,6 +30,7 @@ class SpannerResult:
     epsilon: Fraction
     lightness: Fraction
     stretch_certificate: Fraction
+    mst_weight: Fraction  # the denominator of lightness
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,11 +89,13 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
         dh = _within(hadj, u, v, d)
         assert dh is not None, "kept spanner must satisfy its own bound"
         cert = max(cert, Fraction(dh, iw[eid]))
+    mst_w = minimum_spanning_tree(g).weight()
     return SpannerResult(
         edges=h,
         epsilon=eps,
-        lightness=lightness(g, h),
+        lightness=_over_mst(h.weight(), mst_w),
         stretch_certificate=cert,
+        mst_weight=mst_w,
     )
 
 
@@ -100,10 +103,13 @@ def lightness(g: Graph, h: EdgeSubset) -> Fraction:
     """w(h) / w(MST of g); errors when the MST weight is zero."""
     if h.parent is not g:
         raise ValueError("subset belongs to a different graph")
-    mst_w = minimum_spanning_tree(g).weight()
+    return _over_mst(h.weight(), minimum_spanning_tree(g).weight())
+
+
+def _over_mst(weight: Fraction, mst_w: Fraction) -> Fraction:
     if mst_w == 0:
         raise DegenerateInstanceError("MST weight is zero; lightness undefined")
-    return h.weight() / mst_w
+    return weight / mst_w
 
 
 @dataclass

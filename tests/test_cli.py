@@ -497,6 +497,12 @@ class TestCliErrors:
         assert main(["gen", "--instance", COMB, "--instance", PLANAR]) == 2
         assert main(["gen"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--config", "cfg.json"], ["--jobs", "-1"]])
+    def test_gen_rejects_flags_it_does_not_read(self, flag):
+        with pytest.raises(SystemExit) as ei:
+            main(["gen", "--instance", GRID, *flag])
+        assert ei.value.code == 2
+
     def test_degenerate_comb_params(self):
         # k=1, delta=1: heavy weight drops to 1 and the instance degenerates
         bad = '{"family": "comb_lower_bound", "params": {"k": 0, "delta": "1"}}'

@@ -1,9 +1,14 @@
+import itertools
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphexplore.core import is_connected, minimum_spanning_tree
 from graphexplore.errors import (
@@ -12,6 +17,7 @@ from graphexplore.errors import (
     ParseError,
 )
 from graphexplore.instances import (
+    _delaunay_edges,
     BuiltInstance,
     InstanceSpec,
     build_instance,
@@ -86,6 +92,96 @@ class TestPlanar:
         a = gen_random_planar(30, seed=4)
         b = gen_random_planar(30, seed=4)
         assert graph_to_text(a) == graph_to_text(b)
+
+
+def _orient(a, b, c) -> int:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _incircle(a, b, c, d) -> int:
+    """> 0 iff d is inside the circle through a, b, c (either orientation)."""
+    rows = [(p[0] - d[0], p[1] - d[1]) for p in (a, b, c)]
+    lifts = [x * x + y * y for x, y in rows]
+    (ax, ay), (bx, by), (cx, cy) = rows
+    det = (lifts[0] * (bx * cy - cx * by) - lifts[1] * (ax * cy - cx * ay)
+           + lifts[2] * (ax * by - bx * ay))
+    return det if _orient(a, b, c) > 0 else -det
+
+
+def _brute_delaunay(ints):
+    """(edges of every triangle whose circumcircle has no point strictly
+    inside, whether some orientation or in-circle determinant is zero)."""
+    edges, zero = set(), False
+    for tri in itertools.combinations(range(len(ints)), 3):
+        a, b, c = (ints[i] for i in tri)
+        if _orient(a, b, c) == 0:
+            zero = True
+            continue
+        signs = [_incircle(a, b, c, ints[j]) for j in range(len(ints)) if j not in tri]
+        zero = zero or 0 in signs
+        if all(s <= 0 for s in signs):
+            edges.update(itertools.combinations(tri, 2))
+    return edges, zero
+
+
+class TestDelaunay:
+    # every point set the benchmark triangulates, the small sizes the tests
+    # use, and two sizes past the benchmark ladder
+    SETS = (
+        [(n, s) for n in (64, 256, 512, 1024) for s in range(16)]
+        + [(n, s) for n in (8, 12) for s in range(23)]
+        + [(n, s) for n in range(3, 17) for s in range(60)]
+        + [(n, s) for n in (2000, 4096) for s in range(2)]
+    )
+
+    def test_matches_qhull(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        for n, seed in self.SETS:
+            pts = np.random.default_rng(seed).random((n, 2))
+            qhull = {
+                pair
+                for simplex in spatial.Delaunay(pts).simplices.tolist()
+                for pair in itertools.combinations(sorted(simplex), 2)
+            }
+            assert _delaunay_edges(pts) == qhull, (n, seed)
+
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=3, max_size=10))
+    @settings(max_examples=300)
+    def test_small_integer_sets_match_brute_force(self, ints):
+        got = _delaunay_edges(np.array(ints, dtype=np.float64) / 8)
+        edges, zero = _brute_delaunay(ints)
+        if got is None:
+            assert zero
+        else:
+            assert got == edges
+
+    def test_square_corners_are_cocircular(self):
+        assert _delaunay_edges(np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]])) is None
+
+    def test_collinear_points(self):
+        assert _delaunay_edges(np.array([[0.125, 0.25], [0.25, 0.5], [0.375, 0.75]])) is None
+
+    def test_duplicate_point(self):
+        pts = np.array([[0.125, 0.25], [0.5, 0.875], [0.75, 0.125], [0.5, 0.875]])
+        assert _delaunay_edges(pts) is None
+
+    def test_triangle_and_a_point_inside(self):
+        pts = np.array([[0.0, 0.0], [0.75, 0.0], [0.0, 0.75], [0.125, 0.25]])
+        assert _delaunay_edges(pts) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)}
+
+    def test_no_scipy_at_runtime(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        code = (
+            "import sys\n"
+            "from graphexplore.instances import InstanceSpec, build_instance\n"
+            "build_instance(InstanceSpec('random_planar', {'points': 64}, seed=3))\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGrids:

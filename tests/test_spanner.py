@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from graphexplore.experiments import SPANNER_CHECKS, spanner_row
 from graphexplore.instances import InstanceSpec, build_instance, gen_random_planar, gen_toroidal_grid
 from graphexplore.oracle import brute_force_optspan, brute_force_optspan_edges
 from graphexplore.spanner import (
-    SpannerResult,
     greedy_spanner,
     lightness,
     verify_mst_containment,
@@ -118,6 +118,27 @@ class TestLightness:
         g2 = Graph(2, [(0, 1, 1)])
         with pytest.raises(ValueError):
             lightness(g, EdgeSubset(g2, {0}))
+
+    def test_row_reads_the_spanner_mst_weight(self, monkeypatch):
+        # greedy_spanner's MST is the only one a row without checks computes
+        import graphexplore.spanner as spanner
+
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return minimum_spanning_tree(g)
+
+        monkeypatch.setattr(spanner, "minimum_spanning_tree", counting)
+        monkeypatch.setattr(experiments, "minimum_spanning_tree", counting)
+        built = build_instance(InstanceSpec("grid", {"p": 4, "q": 4, "weights": "uniform"}, 2))
+        res = greedy_spanner(built.graph, Fraction(1, 2))
+        assert res.mst_weight == minimum_spanning_tree(built.graph).weight()
+        assert res.lightness == res.edges.weight() / res.mst_weight
+        calls.clear()
+        row = spanner_row(built, Fraction(1, 2), ())
+        assert len(calls) == 1
+        assert row["mst_weight"] == str(res.mst_weight)
 
 
 class TestStretchVerifier:
@@ -255,8 +276,7 @@ class TestMstContainment:
         def isolating(g, eps):
             res = real(g, eps)
             kept = [e for e in res.edges.ids if 0 not in g.endpoints(e)]
-            return SpannerResult(EdgeSubset(g, kept), res.epsilon, res.lightness,
-                                 res.stretch_certificate)
+            return replace(res, edges=EdgeSubset(g, kept))
 
         monkeypatch.setattr(experiments, "greedy_spanner", isolating)
         built = build_instance(InstanceSpec("grid", {"p": 3, "q": 3}, 0))

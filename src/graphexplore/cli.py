@@ -167,11 +167,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, many: bool = False) -> None:
+    """--instance (repeatable when `many`), --seed, --out and --format."""
     sub.add_argument(
         "--instance",
         action="append",
-        help="instance spec as JSON, or a path to an edge-list file (repeatable)",
+        help="instance spec as JSON, or a path to an edge-list file"
+        + (" (repeatable)" if many else ""),
     )
     sub.add_argument("--seed", type=int, help="override the instance seed")
     sub.add_argument("--out", help="output path (default stdout)")
@@ -180,7 +182,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_batch(sub: argparse.ArgumentParser) -> None:
     """The common flags plus the ones only the row-producing commands read."""
-    _add_common(sub)
+    _add_common(sub, many=True)
     sub.add_argument("--config", help="JSON experiment config file")
     sub.add_argument("--jobs", type=int, help="parallel worker count")
 

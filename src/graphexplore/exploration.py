@@ -25,19 +25,28 @@ Four exact facts let the engine skip work without changing any decision:
    unexplored.  It is kept per vertex and read in O(1).
 2. If minw[v] < w(e), the lightest boundary edge at v is not e.  A witness
    at e's own far end therefore never needs e excluded from the minimum.
-3. A witness v' of e, once valid, stays valid while e is on the boundary
-   and v' is unexplored (fact 1 and fact 4).  The witness sweep, run just
-   before v' is explored, therefore finds every pair that can re-activate
-   e at v', and it alone writes the re-activation records.  A witness a
-   blocked check finds is only a cache entry, since the sweep at v' would
-   record that pair again.
-4. Distances only shrink and minw only falls, so a cached witness stays a
-   proof of "blocked" until it is explored: which Dijkstra finds a witness,
-   and when, changes no decision.
+3. The explored set only grows, so distances only shrink, and a path that
+   is new after z is explored passes through z.  A ball, the exact
+   distances from one explored source u to the explored vertices and
+   leaves within R_u = (1+delta) times u's heaviest boundary edge, thus
+   changes only when one of its leaves z is explored, and a decrease-only
+   search from z bounded by R_u repairs it (Ramalingam and Reps, 1996).
+   R_u only shrinks.  Only an edge heavier than the lightest boundary edge
+   can be blocked or recorded, so a source needs its ball only while its
+   heaviest boundary edge is heavier than that; balls are built then.
+4. Distances only shrink and minw only falls, so a witness v' of e, once
+   valid, stays valid while e is on the boundary and v' is unexplored.
+   The lookup over the balls holding v', run just before v' is explored,
+   therefore finds every pair that can re-activate e at v', and it alone
+   writes the re-activation records.  A witness a blocked check finds is
+   only a cache entry: it proves "blocked" until it is explored, so which
+   check finds a witness, and when, changes no decision.
 
-One Dijkstra kernel serves every distance question.  It pushes only explored
-vertices onto its heap and keeps tentative distances of unexplored leaves in
-a dict: a path may end at a leaf but never passes through one.
+One Dijkstra kernel builds the balls and serves every walk.  It pushes only
+explored vertices onto its heap and keeps tentative distances of unexplored
+leaves in a dict: a path may end at a leaf but never passes through one.
+The ball repair is the only other search loop; like the kernel, it expands
+explored vertices only and counts every expansion as an adjacency read.
 
 Two verifiers check a finished run.  verify_cost_chain charges every step
 to a taken edge and bounds the charges.  verify_blocking_cycle_property
@@ -49,6 +58,7 @@ on B union MST_B.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappush, heappop
@@ -156,8 +166,8 @@ class ExplorationState:
     adjacency_reads counts those reads and the Dijkstra kernel's expansions.
 
     rec_by_witness[v'] lists the boundary edges that v' blocked just before
-    v' was explored (the witness sweep); the invocation started at v'
-    re-activates them (fact 3 of the module docstring).  _active_wit[e] is
+    v' was explored (the ball lookup); the invocation started at v'
+    re-activates them (fact 4 of the module docstring).  _active_wit[e] is
     the witness cache: the witnesses the last blocked check of e found.
     """
 
@@ -174,7 +184,6 @@ class ExplorationState:
         self.minw: list[int | None] = [None] * n
         self.rec_by_witness: dict[int, list[int]] = {}
         self._active_wit: dict[int, list[int]] = {}
-        self._maxw_heap: list[tuple[int, int]] = []
         self._minw_heap: list[tuple[int, int]] = []
         self.position = position
         self.cost = 0  # scaled
@@ -234,22 +243,11 @@ class ExplorationState:
                 m = minw[other]
                 if m is None or w < m:
                     minw[other] = w
-                heappush(self._maxw_heap, (-w, eid))
                 heappush(self._minw_heap, (w, eid))
 
     def on_boundary(self, eid: int) -> bool:
         f = self.far[eid]
         return f >= 0 and not self.explored[f]
-
-    def max_boundary_weight_scaled(self) -> int | None:
-        heap = self._maxw_heap
-        far, explored = self.far, self.explored
-        while heap:
-            w, eid = heap[0]
-            if not explored[far[eid]]:
-                return -w
-            heappop(heap)
-        return None
 
     def min_boundary_weight_scaled(self) -> int | None:
         heap = self._minw_heap
@@ -382,6 +380,30 @@ def _dijkstra_explored(
     return settled, leaves
 
 
+def _ball(state: ExplorationState, source: int, radius: int):
+    """The ball of explored `source`: one bounded search of the kernel.
+
+    Returns (dist, leaves).  dist is a flat length-n array of the exact
+    scaled distances from the source to every explored vertex and leaf
+    within `radius`, -1 for every other vertex; it is an array('q') when
+    radius < 2**63, else a list.  leaves lists the unexplored vertices it
+    holds.  A leaf within the radius is reached from an explored vertex
+    within it, which the search settled, so its distance is exact.
+    """
+    settled, found = _dijkstra_explored(state, [(0, source)], radius=radius, want_leaves=True)
+    n = len(state.explored)
+    dist = array("q", [-1]) * n if radius < 2**63 else [-1] * n
+    dj = state._dj_dist
+    for y in settled:
+        dist[y] = dj[y]
+    leaves = []
+    for v, dv in found.items():
+        if dv <= radius:
+            dist[v] = dv
+            leaves.append(v)
+    return dist, leaves
+
+
 def is_blocked(state: ExplorationState, g: Graph, eid: int, delta):
     """Is boundary edge eid blocked, and by which unexplored endpoints?
 
@@ -402,24 +424,26 @@ def is_blocked(state: ExplorationState, g: Graph, eid: int, delta):
     if mn is None or mn >= w:
         return False, set()
     radius = one_plus.numerator * w // one_plus.denominator
-    (blockers,) = _blocking_witnesses(state, state.src[eid], [(eid, radius)])
+    dist, leaves = _ball(state, state.src[eid], radius)
+    (blockers,) = _blocking_witnesses(state, dist, leaves, [(eid, radius)])
     return bool(blockers), set(blockers)
 
 
-def _blocking_witnesses(state: ExplorationState, source: int, checks) -> list[list[int]]:
-    """The blocking predicate, for boundary edges leaving explored `source`.
+def _blocking_witnesses(state: ExplorationState, dist, leaves: list[int], checks) -> list[list[int]]:
+    """The blocking predicate, for boundary edges leaving one explored source.
 
-    checks holds (edge, scaled radius) pairs.  One bounded search from the
-    source serves them all: every unexplored v' within an edge's radius
-    whose lightest boundary edge minw[v'] is lighter than the edge blocks
-    it.  Returns each edge's witnesses, in the order of checks.  The edge
-    itself is never the lightest edge at a witness, so it needs no
-    exclusion (fact 2 of the module docstring).
+    dist and leaves are the source's ball (see _ball), whose radius is at
+    least every check's; checks holds (edge, scaled radius) pairs.  Every
+    unexplored leaf v' within an edge's radius whose lightest boundary edge
+    minw[v'] is lighter than the edge blocks it.  Returns each edge's
+    witnesses, in the order of checks.  The edge itself is never the
+    lightest edge at a witness, so it needs no exclusion (fact 2 of the
+    module docstring).  Explored vertices are dropped from leaves in place.
     """
+    explored, minw, iw = state.explored, state.minw, state.g._iw
+    leaves[:] = [v for v in leaves if not explored[v]]
     radius = max(r for _, r in checks)
-    _, leaves = _dijkstra_explored(state, [(0, source)], radius=radius, want_leaves=True)
-    minw, iw = state.minw, state.g._iw
-    near = [(v, dv, minw[v]) for v, dv in leaves.items() if dv <= radius]
+    near = [(v, dv, minw[v]) for v in leaves if (dv := dist[v]) <= radius]
     found = []
     for eid, bound in checks:
         w = iw[eid]
@@ -448,9 +472,10 @@ class TraversalLog:
     """One run: its steps, their exact total cost and the taken boundary edges.
 
     blocker_records maps a boundary edge e to the vertices v' that blocked
-    e just before v' was explored while e stayed on the boundary: the
-    witness sweep's records, which depend on the definition alone, not on
-    when the witness cache short-cut a check.
+    e just before v' was explored while e stayed on the boundary.  The
+    engine writes them from a lookup over the balls holding v' (fact 4 of
+    the module docstring); they depend on the definition alone, not on
+    which balls were built or when the witness cache short-cut a check.
     """
 
     algorithm: str
@@ -534,6 +559,17 @@ def _walk(state: ExplorationState, steps: list, to: int, role: str, charge: int,
 # the explorer
 
 class _Engine:
+    """The blocking explorer over one state, with a ball per heavy source.
+
+    balls[u], leaves[u] and radius[u] are the ball of explored u (see _ball
+    and fact 3 of the module docstring), or None while u has none.
+    holders[v] lists the sources whose ball holds the unexplored v as a
+    leaf; a dropped ball's entries are skipped where they are read.
+    _unbuilt is a max-heap of the sources still without a ball, by u's
+    heaviest boundary weight w when pushed, as the int key -w * n + u; a
+    key only overstates w, since u's boundary edges only leave.
+    """
+
     def __init__(self, g: Graph, params: ExplorationParams):
         require_connected(g, "run_blocking")
         self.g = g
@@ -547,9 +583,136 @@ class _Engine:
         self.bnd = [p1 * w // q1 for w in g._iw]
         # priorities are distinct, so prio alone orders like (prio, id)
         self.prio = params.tie_break.priorities(g.edge_count)
+        n = g.n
+        self.balls: list = [None] * n
+        self.leaves: list = [None] * n
+        self.radius = [0] * n
+        self.holders: list = [[] for _ in range(n)]
+        self._unbuilt: list[int] = []
         self.state = ExplorationState.initial(g, params.start)
+        self._queue(params.start)
         self.steps: list[TraversalStep] = []
         self.taken: list[int] = []
+
+    # -- balls --------------------------------------------------------------
+
+    def _queue(self, u: int) -> None:
+        """Put explored u in _unbuilt if it has boundary edges."""
+        lst = self.state.out[u]
+        if lst:
+            heappush(self._unbuilt, -max(map(self.g._iw.__getitem__, lst)) * self.g.n + u)
+
+    def _build_balls(self, mn) -> None:
+        """Build the ball of every source whose heaviest boundary edge is
+        heavier than mn, the lightest boundary weight."""
+        if mn is None:
+            return
+        heap = self._unbuilt
+        n = self.g.n
+        cut = -mn * n  # keys below it have w > mn
+        while heap and heap[0] < cut:
+            key = heappop(heap)
+            u = key % n
+            lst = self.state.out[u]
+            if not lst:
+                continue
+            w = max(map(self.g._iw.__getitem__, lst))
+            if w < -(key // n):
+                heappush(heap, -w * n + u)
+                continue
+            radius = self.p1 * w // self.q1
+            dist, leaves = _ball(self.state, u, radius)
+            self.balls[u], self.leaves[u], self.radius[u] = dist, leaves, radius
+            holders = self.holders
+            for v in leaves:
+                holders[v].append(u)
+
+    def _explore(self, z: int) -> None:
+        """Mark z explored and bring every ball up to date (fact 3).
+
+        The sources that lose their edges into z shrink their radius, or
+        drop their ball with their last boundary edge.  Every ball that held
+        z is repaired from z, unless z is a dead end: with no boundary edge
+        and one explored neighbour, no path can pass through it.  z's own
+        ball waits in _unbuilt.
+        """
+        st = self.state
+        lost = st.into[z]  # mark_explored gives z a new, empty list
+        st.mark_explored(z)
+        src, out, balls, bnd = st.src, st.out, self.balls, self.bnd
+        for eid in lost:
+            u = src[eid]
+            if balls[u] is None:
+                continue
+            if out[u]:
+                self.radius[u] = max(map(bnd.__getitem__, out[u]))
+            else:
+                balls[u] = self.leaves[u] = None
+        held = self.holders[z]
+        self.holders[z] = None
+        if held:
+            inner = st.inner[z]
+            if out[z] or any(y != inner[0][0] for y, _, _ in inner):
+                self._repair(z, held)
+        self._queue(z)
+
+    def _repair(self, z: int, held: list[int]) -> None:
+        """Decrease-only searches from z, just explored, of the balls in held.
+
+        In each ball z keeps its leaf distance, now as an explored vertex; a
+        vertex is expanded only when its distance fell, and nothing beyond
+        the ball's radius enters it.  Every expansion counts one adjacency
+        read, and an unexplored vertex is never expanded.
+        """
+        st = self.state
+        explored, inner, out, far, iw = st.explored, st.inner, st.out, st.far, self.g._iw
+        balls, radii, leaves_of, holders = self.balls, self.radius, self.leaves, self.holders
+        n = len(explored)
+        reads = 0
+        for u in held:
+            dist = balls[u]
+            if dist is None:
+                continue
+            radius = radii[u]
+            d = dist[z]
+            if d > radius:
+                continue
+            leaves = leaves_of[u]
+            heap: list[int] = []
+            y = z
+            while True:
+                if not explored[y]:
+                    st.adjacency_reads += reads
+                    raise OnlinePurityError(f"adjacency of unexplored vertex {y} requested")
+                reads += 1
+                for other, _, w in inner[y]:
+                    nd = d + w
+                    if nd <= radius:
+                        old = dist[other]
+                        if old < 0 or nd < old:
+                            dist[other] = nd
+                            heappush(heap, nd * n + other)
+                for eid in out[y]:
+                    nd = d + iw[eid]
+                    if nd <= radius:
+                        other = far[eid]
+                        old = dist[other]
+                        if old < 0:
+                            leaves.append(other)
+                            holders[other].append(u)
+                            dist[other] = nd
+                        elif nd < old:
+                            dist[other] = nd
+                # next, the nearest vertex whose distance fell; an entry
+                # whose vertex fell again after its push is stale
+                while heap:
+                    key = heappop(heap)
+                    y, d = key % n, key // n
+                    if d == dist[y]:
+                        break
+                else:
+                    break
+        st.adjacency_reads += reads
 
     # -- blocking checks ----------------------------------------------------
 
@@ -559,7 +722,9 @@ class _Engine:
         mn is the lightest boundary weight.  Cheap verdicts first: nothing on
         the boundary is lighter, or a cached witness that is still unexplored
         proves "blocked" with no distance work.  The rest go to the blocking
-        predicate, and the witnesses it finds become the edge's cache.
+        predicate over the source's ball, which exists since one of its
+        edges is heavier than mn, and the witnesses it finds become the
+        edge's cache.
         """
         st = self.state
         iw = self.g._iw
@@ -575,7 +740,9 @@ class _Engine:
                 needy.append(eid)
         if not needy:
             return
-        found = _blocking_witnesses(st, source, [(eid, bnd[eid]) for eid in needy])
+        found = _blocking_witnesses(
+            st, self.balls[source], self.leaves[source], [(eid, bnd[eid]) for eid in needy]
+        )
         for eid, blockers in zip(needy, found):
             status[eid] = bool(blockers)
             st._active_wit[eid] = blockers
@@ -586,10 +753,13 @@ class _Engine:
         Admissible: not blocked, and either leaving v itself or re-activated
         because v was recorded as a blocker endpoint for it.  Edges leaving v
         are preferred as a class; within a class the tie-break order decides.
+        Builds the balls the current boundary needs first, so that they
+        also serve the lookup of the edge selected.
         """
         st = self.state
         prio = self.prio
         mn = st.min_boundary_weight_scaled()
+        self._build_balls(mn)
         status: dict[int, bool] = {}
         class1 = sorted(st.out[v], key=prio.__getitem__)
         if class1:
@@ -614,47 +784,34 @@ class _Engine:
                     return eid
         return None
 
-    # -- witness sweep ------------------------------------------------------
+    # -- witness lookup -----------------------------------------------------
 
-    def _witness_sweep(self, x: int) -> None:
+    def _record_blockers(self, x: int) -> None:
         """Record x as a blocker endpoint for every boundary edge it blocks.
 
-        Runs just before x is explored: the edges from explored territory
-        into x are about to vanish, and any edge they block right now must
-        remember x so that the invocation at x can re-activate it.  Distances
-        only shrink over time, so checking at this last moment catches every
-        pair that ever satisfied the blocking clause (fact 3).  The records
-        feed rec_by_witness only: x is explored next, so a cache entry for
-        it could never confirm anything.
+        Runs just before x is explored, right after the select that chose
+        an edge into x: the edges from explored territory into x are about
+        to vanish, and any edge they block right now must remember x so
+        that the invocation at x can re-activate it (fact 4).  Only an edge
+        heavier than minw[x] can be recorded, and its source has a ball,
+        built by that select; x is in it when d(u, x) is within the
+        source's radius.  The records feed rec_by_witness only: x is
+        explored next, so a cache entry for it could never confirm anything.
         """
+        held = self.holders[x]
+        if not held:
+            return
         st = self.state
-        inc = st.into[x]
-        if not inc:
-            return
         wmin = st.minw[x]
-        maxw = st.max_boundary_weight_scaled()
-        if maxw is None or maxw <= wmin:
-            return
-        iw = self.g._iw
-        src = st.src
-        seeds: dict[int, int] = {}
-        for eid in inc:
-            u, w = src[eid], iw[eid]
-            if u not in seeds or w < seeds[u]:
-                seeds[u] = w
-        settled, _ = _dijkstra_explored(
-            st, [(w, u) for u, w in seeds.items()], radius=self.p1 * maxw // self.q1
-        )
-        dist = st._dj_dist
-        out, far, bnd = st.out, st.far, self.bnd
+        balls, out, far, iw, bnd = self.balls, st.out, st.far, self.g._iw, self.bnd
         found = []
-        for u in settled:
-            lst = out[u]
-            if not lst:
+        for u in held:
+            dist = balls[u]
+            if dist is None:
                 continue
-            du = dist[u]
-            for eid in lst:
-                if du <= bnd[eid] and iw[eid] > wmin and far[eid] != x:
+            d = dist[x]
+            for eid in out[u]:
+                if d <= bnd[eid] and iw[eid] > wmin and far[eid] != x:
                     found.append(eid)
         if found:
             st.rec_by_witness[x] = found
@@ -678,10 +835,10 @@ class _Engine:
             y, x, w = st.src[eid], st.far[eid], iw[eid]
             if y != v:
                 _walk(st, self.steps, y, APPROACH, eid, self.bnd[eid])
-            self._witness_sweep(x)
+            self._record_blockers(x)
             self.steps.append(TraversalStep(eid, y, x, TAKE, eid))
             st.cost += w
-            st.mark_explored(x)
+            self._explore(x)
             st.position = x
             self.taken.append(eid)
             frames.append((x, eid))

@@ -497,6 +497,15 @@ class TestCliErrors:
         assert main(["gen", "--instance", COMB, "--instance", PLANAR]) == 2
         assert main(["gen"]) == 2
 
+    def test_only_batch_commands_call_instance_repeatable(self, capsys):
+        for command, many in (("explore", True), ("spanner", True), ("verify", True), ("gen", False)):
+            with pytest.raises(SystemExit) as ei:
+                main([command, "--help"])
+            assert ei.value.code == 0
+            text = " ".join(capsys.readouterr().out.split())
+            assert "path to an edge-list file" in text
+            assert ("edge-list file (repeatable)" in text) == many, command
+
     @pytest.mark.parametrize("flag", [["--config", "cfg.json"], ["--jobs", "-1"]])
     def test_gen_rejects_flags_it_does_not_read(self, flag):
         with pytest.raises(SystemExit) as ei:

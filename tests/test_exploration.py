@@ -15,12 +15,15 @@ from graphexplore.errors import (
     OnlinePurityError,
     StateError,
 )
+from graphexplore.experiments import resolve_delta
 from graphexplore.exploration import (
     ExplorationParams,
     ExplorationState,
     TieBreak,
     TraversalLog,
     TraversalStep,
+    _Engine,
+    _ball,
     _dijkstra_explored,
     is_blocked,
     run_blocking,
@@ -34,6 +37,7 @@ from graphexplore.instances import (
     gen_erdos_renyi,
     gen_grid,
     gen_random_planar,
+    gen_random_tree,
     gen_toroidal_grid,
 )
 from graphexplore.oracle import enumerate_cycles_check, reference_blocking
@@ -190,7 +194,7 @@ class TestBlockingPredicate:
             is_blocked(self.st, self.g, 0, self.delta)
 
     def test_records_nothing(self):
-        # re-activation records come from the witness sweep alone
+        # re-activation records come from the engine's ball lookup alone
         blocked, wit = is_blocked(self.st, self.g, 10, self.delta)
         assert blocked and wit == {8}
         assert self.st.rec_by_witness == {} and self.st._active_wit == {}
@@ -462,9 +466,13 @@ def test_exploration_completes_and_returns_property(seed, delta):
     assert log.verification["cycle_minimality"]["ok"]
 
 
-def _tied_graph(rng: random.Random, n: int, extra: int) -> Graph:
-    """Random connected graph whose weights come from {1, 3/2, 2}: many ties."""
-    weights = (Fraction(1), Fraction(3, 2), Fraction(2))
+def _tied_graph(
+    rng: random.Random,
+    n: int,
+    extra: int,
+    weights=(Fraction(1), Fraction(3, 2), Fraction(2)),
+) -> Graph:
+    """Random connected graph whose weights come from `weights`: many ties."""
     edges = [(rng.randrange(i), i, rng.choice(weights)) for i in range(1, n)]
     for _ in range(extra):
         u, v = rng.sample(range(n), 2)
@@ -498,3 +506,119 @@ def test_engine_matches_reference_definition(seed, delta, kind):
     assert log.total_cost == ref.total_cost
     assert log.blocker_records == ref.blocker_records
     assert all(log.verification[name]["ok"] for name in ("cost_chain", "cycle_minimality"))
+
+
+def _small_instance(family: str, rng: random.Random):
+    """(graph, start, tie-break) of a seeded instance with n <= 16."""
+    seed = rng.randrange(10**6)
+    if family == "comb_lower_bound":
+        g, start, script = gen_comb_lower_bound(rng.randint(2, 4), 1)
+        return g, start, TieBreak.adversarial(script)
+    if family == "random_planar":
+        g = gen_random_planar(rng.randint(3, 16), seed=seed)
+    elif family == "toroidal_grid":
+        g = gen_toroidal_grid(3, rng.randint(3, 5), seed=seed)
+    elif family == "grid":
+        g = gen_grid(rng.randint(1, 4), rng.randint(2, 4), weights="uniform", seed=seed)
+    elif family == "random_tree":
+        g = gen_random_tree(rng.randint(2, 16), seed=seed)
+    elif family == "erdos_renyi":
+        g = gen_erdos_renyi(rng.randint(2, 16), Fraction(1, 3), seed=seed)
+    else:  # ties, zero weights among them: zero-length paths and balls
+        n = rng.randint(2, 11)
+        weights = (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2))
+        g = _tied_graph(rng, n, rng.randint(0, 2 * n), weights)
+    tb = TieBreak.random(rng.randrange(1000)) if rng.random() < 0.5 else TieBreak.by_edge_id()
+    return g, rng.randrange(g.n), tb
+
+
+_FAMILIES = [
+    "random_planar",
+    "toroidal_grid",
+    "grid",
+    "random_tree",
+    "erdos_renyi",
+    "comb_lower_bound",
+    "tied_with_zero",
+]
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    delta=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]),
+    family=st.sampled_from(_FAMILIES),
+)
+def test_engine_matches_reference_on_every_family(seed, delta, family):
+    g, start, tb = _small_instance(family, random.Random(seed))
+    params = ExplorationParams(delta=delta, start=start, tie_break=tb)
+    log = run_blocking(g, params)
+    ref = reference_blocking(g, params)
+    assert log.steps == ref.steps
+    assert log.total_cost == ref.total_cost
+    assert log.blocker_records == ref.blocker_records
+
+
+def test_weights_beyond_64_bits_match_reference():
+    # radii of 2**63 and more do not fit array('q'), so those balls are lists
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        weights = (Fraction(2**61), Fraction(2**63 - 1), Fraction(2**64), Fraction(2**66))
+        g = _tied_graph(rng, n, rng.randint(0, 2 * n), weights)
+        params = ExplorationParams(delta=Fraction(1, 2), start=rng.randrange(n))
+        log = run_blocking(g, params)
+        ref = reference_blocking(g, params)
+        assert log.steps == ref.steps and log.blocker_records == ref.blocker_records
+
+
+class _CheckedEngine(_Engine):
+    """The engine, checking its balls against fresh searches as it runs."""
+
+    def _select(self, v):
+        # after the balls are built, every source whose heaviest boundary
+        # edge is heavier than the lightest one has a ball
+        eid = super()._select(v)
+        st_ = self.state
+        mn = st_.min_boundary_weight_scaled()
+        for u in range(self.g.n):
+            if st_.explored[u] and st_.out[u]:
+                heavy = max(self.g._iw[e] for e in st_.out[u])
+                assert self.balls[u] is not None or heavy <= mn
+        return eid
+
+    def _explore(self, z):
+        super()._explore(z)
+        st_ = self.state
+        for u in range(self.g.n):
+            ball = self.balls[u]
+            if ball is None:
+                continue
+            r = self.radius[u]
+            assert r == max(self.bnd[e] for e in st_.out[u])
+            fresh, leaves = _ball(st_, u, r)
+            assert [d if d <= r else -1 for d in ball] == list(fresh)
+            for v in leaves:
+                assert v in self.leaves[u] and u in self.holders[v]
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_balls_stay_exact(family):
+    # every live ball equals a from-scratch search within its radius after
+    # each vertex is explored, and its leaves know it holds them
+    rng = random.Random(7)
+    for _ in range(20):
+        g, start, tb = _small_instance(family, rng)
+        delta = rng.choice([Fraction(1, 2), Fraction(2), Fraction(5)])
+        log = _CheckedEngine(g, ExplorationParams(delta=delta, start=start, tie_break=tb)).run()
+        assert log.steps == reference_blocking(g, ExplorationParams(delta, start, tb)).steps
+
+
+def test_equal_weights_build_no_ball():
+    # on a unit grid no boundary edge is heavier than the lightest, so no
+    # ball is ever built: the walks and the reads of each vertex explored
+    # are all there is, 3,488 reads, as many as before balls existed
+    g = gen_grid(32, 32)
+    params = ExplorationParams(delta=resolve_delta("log2n", g.n), verify_invariants=False)
+    log = run_blocking(g, params)
+    assert log.verification["access_audit"]["adjacency_reads"] <= 3488

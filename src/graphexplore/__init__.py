@@ -42,6 +42,7 @@ from .exploration import (
     TieBreak,
     TraversalLog,
     TraversalStep,
+    TraversalSteps,
     is_blocked,
     run_blocking,
     run_nearest_neighbor,

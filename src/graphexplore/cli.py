@@ -60,6 +60,19 @@ def _parse_instance_arg(text: str, seed: int | None) -> InstanceSpec:
     return spec
 
 
+def _check_out_path(path: str | None) -> None:
+    """An output path that is a directory, or whose directory is missing,
+    is a usage error, found here before any task runs rather than when the
+    rows are written."""
+    if not path:
+        return
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(f"output path {path!r} is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"output directory {str(out.parent)!r} does not exist")
+
+
 def _build_config(args, need: str) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_json_dict(
@@ -97,6 +110,7 @@ def _build_config(args, need: str) -> ExperimentConfig:
         raise ValueError("spanner needs --epsilon or config epsilons")
     if need == "verify" and not (config.algorithms or config.epsilons):
         raise ValueError("verify needs algorithms and/or epsilons")
+    _check_out_path(config.out_path)
     return config
 
 
@@ -143,6 +157,7 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     if not args.instance or len(args.instance) != 1:
         raise ValueError("gen needs exactly one --instance")
+    _check_out_path(args.out)
     spec = _parse_instance_arg(args.instance[0], args.seed)
     built = build_instance(spec)
     if args.format == "json":

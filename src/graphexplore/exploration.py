@@ -57,8 +57,10 @@ on B union MST_B.
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappush, heappop
@@ -457,6 +459,9 @@ def _blocking_witnesses(state: ExplorationState, dist, leaves: list[int], checks
 APPROACH = "approach"
 TAKE = "take-boundary"
 RETURN = "return"
+# a step's role is stored as its index in ROLES
+ROLES = (APPROACH, TAKE, RETURN)
+_ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
 
 
 class TraversalStep(NamedTuple):
@@ -467,26 +472,123 @@ class TraversalStep(NamedTuple):
     charged_to: int
 
 
+class TraversalSteps(Sequence):
+    """A step sequence in flat columns, with no Python object per step.
+
+    edge, source, dest and charged_to are array('i') columns and role an
+    array('b') of indexes into ROLES: 17 bytes a step, plus the arrays'
+    spare capacity.  Indexing and iteration build TraversalStep tuples on
+    the fly, and a slice is a TraversalSteps.  It equals a tuple or list of
+    the same steps, in either order of comparison, and `steps + other`
+    joins it with one.  An id beyond array('i')'s range raises
+    OverflowError rather than wrapping, and a failed append leaves the
+    columns as they were.  Readers over many steps, such as the cost-chain
+    verifier, zip the columns instead.
+    """
+
+    __slots__ = ("edge", "source", "dest", "role", "charged_to")
+
+    def __init__(self, steps=()):
+        self.edge = array("i")
+        self.source = array("i")
+        self.dest = array("i")
+        self.role = array("b")
+        self.charged_to = array("i")
+        self.extend(steps)
+
+    def add_path(self, path, role: str, charged_to: int) -> None:
+        """Append the (edge, from, to) triples of path, all of one role and
+        charged to one taken edge."""
+        code = _ROLE_CODE.get(role)
+        if code is None:
+            raise ValueError(f"unknown step role {role!r}")
+        edge, source, dest = self.edge, self.source, self.dest
+        start = len(edge)
+        try:
+            for e, a, b in path:
+                edge.append(e)
+                source.append(a)
+                dest.append(b)
+            k = len(edge) - start
+            self.charged_to.extend(array("i", [charged_to]) * k)
+        except (OverflowError, TypeError, ValueError):
+            for col in (edge, source, dest):
+                del col[start:]
+            raise
+        self.role.frombytes(bytes([code]) * k)
+
+    def append(self, step) -> None:
+        edge, source, dest, role, charged_to = step
+        self.add_path(((edge, source, dest),), role, charged_to)
+
+    def extend(self, steps) -> None:
+        for step in steps:
+            self.append(step)
+
+    def __len__(self) -> int:
+        return len(self.edge)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            out = TraversalSteps()
+            for name in self.__slots__:
+                setattr(out, name, getattr(self, name)[i])
+            return out
+        return TraversalStep(
+            self.edge[i], self.source[i], self.dest[i], ROLES[self.role[i]], self.charged_to[i]
+        )
+
+    def __iter__(self):
+        roles = map(ROLES.__getitem__, self.role)
+        return map(TraversalStep, self.edge, self.source, self.dest, roles, self.charged_to)
+
+    def __eq__(self, other):
+        if isinstance(other, TraversalSteps):
+            return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __add__(self, other):
+        if not isinstance(other, (TraversalSteps, tuple, list)):
+            return NotImplemented
+        out = self[:]
+        out.extend(other)
+        return out
+
+    def __repr__(self) -> str:
+        return f"TraversalSteps({list(self)!r})"
+
+
 @dataclass
 class TraversalLog:
     """One run: its steps, their exact total cost and the taken boundary edges.
 
-    blocker_records maps a boundary edge e to the vertices v' that blocked
-    e just before v' was explored while e stayed on the boundary.  The
-    engine writes them from a lookup over the balls holding v' (fact 4 of
-    the module docstring); they depend on the definition alone, not on
-    which balls were built or when the witness cache short-cut a check.
+    steps is a TraversalSteps whatever sequence of TraversalStep the log
+    was built from: five flat columns, 17 bytes a step, where a tuple of
+    TraversalStep tuples took about 100.
+
+    blocker_records maps a boundary edge e to the sorted tuple of the
+    vertices v' that blocked e just before v' was explored while e stayed
+    on the boundary.  The engine writes them from a lookup over the balls
+    holding v' (fact 4 of the module docstring); they depend on the
+    definition alone, not on which balls were built or when the witness
+    cache short-cut a check.
     """
 
     algorithm: str
     start: int
-    steps: tuple[TraversalStep, ...]
+    steps: TraversalSteps
     total_cost: Fraction
     taken_boundary: EdgeSubset
     delta: Fraction | None = None
     tie_break: TieBreak | None = None
-    blocker_records: dict = field(default_factory=dict)
+    blocker_records: dict[int, tuple[int, ...]] = field(default_factory=dict)
     verification: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.steps, TraversalSteps):
+            self.steps = TraversalSteps(self.steps)
 
     def to_json_dict(self) -> dict:
         params: dict = {"algorithm": self.algorithm, "start": self.start}
@@ -494,17 +596,12 @@ class TraversalLog:
             params["delta"] = str(self.delta)
         if self.tie_break is not None:
             params["tie_break"] = self.tie_break.describe()
+        s = self.steps
         return {
             "params": params,
             "steps": [
-                {
-                    "edge": s.edge,
-                    "from": s.source,
-                    "to": s.dest,
-                    "role": s.role,
-                    "charged_to": s.charged_to,
-                }
-                for s in self.steps
+                {"edge": e, "from": a, "to": b, "role": ROLES[r], "charged_to": c}
+                for e, a, b, r, c in zip(s.edge, s.source, s.dest, s.role, s.charged_to)
             ],
             "total_cost": str(self.total_cost),
             "boundary_edges": sorted(self.taken_boundary.ids),
@@ -533,7 +630,7 @@ def _path_to(state: ExplorationState, x: int) -> list[tuple[int, int, int]]:
     return path
 
 
-def _walk(state: ExplorationState, steps: list, to: int, role: str, charge: int, radius=None):
+def _walk(state: ExplorationState, steps: TraversalSteps, to: int, role: str, charge: int, radius=None):
     """Walk a shortest internally explored path from the position to `to`.
 
     Appends its steps, charged to taken edge `charge`, and adds their cost.
@@ -548,10 +645,10 @@ def _walk(state: ExplorationState, steps: list, to: int, role: str, charge: int,
             witness=(state.position, to, role),
             detail="no internally explored path within the guaranteed radius",
         )
+    path = _path_to(state, to)
+    steps.add_path(path, role, charge)
     iw = state.g._iw
-    for eid, a, b in _path_to(state, to):
-        steps.append(TraversalStep(eid, a, b, role, charge))
-        state.cost += iw[eid]
+    state.cost += sum(iw[eid] for eid, _, _ in path)
     state.position = to
 
 
@@ -591,7 +688,7 @@ class _Engine:
         self._unbuilt: list[int] = []
         self.state = ExplorationState.initial(g, params.start)
         self._queue(params.start)
-        self.steps: list[TraversalStep] = []
+        self.steps = TraversalSteps()
         self.taken: list[int] = []
 
     # -- balls --------------------------------------------------------------
@@ -847,25 +944,42 @@ class _Engine:
             raise InvariantViolation("exploration-complete", witness=missing)
         if st.position != self.params.start:
             raise InvariantViolation("return-to-start", witness=st.position)
-        records: dict[int, set[int]] = {}
-        for x, eids in st.rec_by_witness.items():
-            for eid in eids:
-                records.setdefault(eid, set()).add(x)
         log = TraversalLog(
             algorithm="blocking",
             start=self.params.start,
-            steps=tuple(self.steps),
+            steps=self.steps,
             total_cost=Fraction(st.cost, g._scale),
             taken_boundary=EdgeSubset(g, self.taken),
             delta=self.params.delta,
             tie_break=self.params.tie_break,
-            blocker_records={e: frozenset(s) for e, s in records.items()},
+            blocker_records=self._blocker_records(),
         )
         log.verification["access_audit"] = {
             "adjacency_reads": st.adjacency_reads,
             "violations": 0,
         }
         return log
+
+    def _blocker_records(self) -> dict[int, tuple[int, ...]]:
+        """rec_by_witness turned around: each edge's witnesses, a sorted tuple.
+
+        One pass over the witnesses in id order appends each to its edges'
+        lists, which are born sorted; every witness's list is released as
+        it is read, and each edge's list as its tuple replaces it.
+        """
+        st = self.state
+        by_witness, st.rec_by_witness = st.rec_by_witness, {}
+        records: dict = {}
+        for x in sorted(by_witness):
+            for eid in by_witness.pop(x):
+                lst = records.get(eid)
+                if lst is None:
+                    records[eid] = [x]
+                else:
+                    lst.append(x)
+        for eid, lst in records.items():
+            records[eid] = tuple(lst)
+        return records
 
 
 def run_blocking(g: Graph, params: ExplorationParams) -> TraversalLog:
@@ -941,18 +1055,20 @@ def verify_cost_chain(g: Graph, log: TraversalLog, delta, optspan_bound=None) ->
     w_b = log.taken_boundary.weight()
     bound = 2 * two_plus * w_b
     taken = log.taken_boundary.ids
-    slots: dict[str, dict[int, int]] = {APPROACH: {}, TAKE: {}, RETURN: {}}
+    # per role code (an index into ROLES), the charge each taken edge absorbs
+    slots: list[dict[int, int]] = [{} for _ in ROLES]
     failures = []
     total = 0
-    for edge, _, _, role, charged_to in log.steps:
+    steps = log.steps
+    for edge, code, charged_to in zip(steps.edge, steps.role, steps.charged_to):
         w = iw[edge]
         total += w
         if charged_to not in taken:
             failures.append({"edge": edge, "why": "charged to an untaken edge"})
             continue
-        slot = slots[role]
+        slot = slots[code]
         slot[charged_to] = slot.get(charged_to, 0) + w
-    approach, take, ret = slots[APPROACH], slots[TAKE], slots[RETURN]
+    approach, take, ret = slots  # in ROLES order
     for eid in log.taken_boundary:
         wi = iw[eid]
         ai, ti, ri = approach.get(eid, 0), take.get(eid, 0), ret.get(eid, 0)
@@ -1027,7 +1143,7 @@ def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
         raise ValueError(f"start vertex {start} out of range")
     st = ExplorationState.initial(g, start)
     iw = g._iw
-    steps: list[TraversalStep] = []
+    steps = TraversalSteps()
     taken: list[int] = []
     while st.explored_count < g.n:
         _, leaves = _dijkstra_explored(st, [(0, st.position)], parents=True, stop_leaf=True)
@@ -1036,10 +1152,9 @@ def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
         _, target = min((d, v) for v, d in leaves.items())
         path = _path_to(st, target)
         final_eid = path[-1][0]
-        for eid, a, b in path:
-            role = TAKE if b == target else APPROACH
-            steps.append(TraversalStep(eid, a, b, role, final_eid))
-            st.cost += iw[eid]
+        steps.add_path(path[:-1], APPROACH, final_eid)
+        steps.add_path(path[-1:], TAKE, final_eid)
+        st.cost += sum(iw[eid] for eid, _, _ in path)
         taken.append(final_eid)
         st.mark_explored(target)
         st.position = target
@@ -1048,7 +1163,7 @@ def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
     log = TraversalLog(
         algorithm="nearest_neighbor",
         start=start,
-        steps=tuple(steps),
+        steps=steps,
         total_cost=Fraction(st.cost, g._scale),
         taken_boundary=EdgeSubset(g, taken),
     )

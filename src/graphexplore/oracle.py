@@ -435,10 +435,10 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
     return TraversalLog(
         algorithm="blocking_reference",
         start=params.start,
-        steps=tuple(steps),
+        steps=steps,
         total_cost=sum((g.weight(s.edge) for s in steps), Fraction(0)),
         taken_boundary=EdgeSubset(g, taken),
         delta=params.delta,
         tie_break=params.tie_break,
-        blocker_records={e: frozenset(s) for e, s in records.items()},
+        blocker_records={e: tuple(sorted(s)) for e, s in records.items()},
     )

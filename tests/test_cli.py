@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import graphexplore.cli as cli
 import graphexplore.experiments as experiments
 import graphexplore.exploration as exploration
 from graphexplore.cli import build_parser, main
@@ -511,6 +512,38 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as ei:
             main(["gen", "--instance", GRID, *flag])
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("command,flags,batch", [
+        ("explore", ["--delta", "2"], "run_explore"),
+        ("spanner", ["--epsilon", "1/2"], "run_spanner"),
+        ("verify", ["--delta", "2"], "run_verify"),
+        ("gen", [], "build_instance"),
+    ])
+    def test_unwritable_out_path_runs_no_task(
+        self, tmp_path, capsys, monkeypatch, command, flags, batch
+    ):
+        def never(*args):
+            raise AssertionError(f"{batch} ran")
+
+        monkeypatch.setattr(cli, batch, never)
+        out = tmp_path / "missing" / "rows.csv"
+        assert main([command, "--instance", COMB, *flags, "--out", str(out)]) == 2
+        assert "output directory" in capsys.readouterr().err
+        assert not out.parent.exists()
+        assert main([command, "--instance", COMB, *flags, "--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_config_out_path_into_missing_directory_runs_no_task(self, tmp_path, monkeypatch):
+        def never(*args):
+            raise AssertionError("run_explore ran")
+
+        monkeypatch.setattr(cli, "run_explore", never)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "instances": [json.loads(GRID)],
+            "output": {"path": str(tmp_path / "missing" / "rows.csv")},
+        }), encoding="utf-8")
+        assert main(["explore", "--config", str(p), "--delta", "1"]) == 2
 
     def test_degenerate_comb_params(self):
         # k=1, delta=1: heavy weight drops to 1 and the instance degenerates

@@ -1,5 +1,9 @@
+import gc
+import json
 import random
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +26,7 @@ from graphexplore.exploration import (
     TieBreak,
     TraversalLog,
     TraversalStep,
+    TraversalSteps,
     _Engine,
     _ball,
     _dijkstra_explored,
@@ -39,6 +44,7 @@ from graphexplore.instances import (
     gen_random_planar,
     gen_random_tree,
     gen_toroidal_grid,
+    read_graph,
 )
 from graphexplore.oracle import enumerate_cycles_check, reference_blocking
 
@@ -622,3 +628,109 @@ def test_equal_weights_build_no_ball():
     params = ExplorationParams(delta=resolve_delta("log2n", g.n), verify_invariants=False)
     log = run_blocking(g, params)
     assert log.verification["access_audit"]["adjacency_reads"] <= 3488
+
+
+# ---------------------------------------------------------------------------
+# the compact step log
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestTraversalSteps:
+    @pytest.fixture
+    def pair(self):
+        g = gen_random_planar(20, seed=4)
+        log = run_blocking(g, ExplorationParams(delta=2))
+        return log.steps, tuple(log.steps)
+
+    def test_a_log_holds_columns(self, pair):
+        steps, _ = pair
+        assert type(steps) is TraversalSteps
+        assert steps.edge.itemsize == 4 and steps.role.itemsize == 1
+        assert not hasattr(steps, "__dict__")
+
+    def test_equals_the_tuple_form_both_ways(self, pair):
+        steps, as_tuple = pair
+        assert all(type(s) is TraversalStep for s in as_tuple)
+        assert steps == as_tuple and as_tuple == steps
+        assert steps == list(as_tuple) and list(as_tuple) == steps
+        assert not (steps != as_tuple) and not (as_tuple != steps)
+        assert TraversalSteps(as_tuple) == steps
+        other = as_tuple[:-1] + (as_tuple[-1]._replace(charged_to=as_tuple[-1].charged_to + 1),)
+        assert steps != other and other != steps
+        assert steps != as_tuple[:-1] and as_tuple[:-1] != steps
+        assert steps != "not steps"
+
+    def test_indexes_and_slices(self, pair):
+        steps, as_tuple = pair
+        for i in (0, 1, len(steps) - 1, -1, -len(steps)):
+            assert steps[i] == as_tuple[i] and type(steps[i]) is TraversalStep
+        for sl in (slice(2, 7), slice(-5, None), slice(None, None, 3), slice(5, 2)):
+            assert type(steps[sl]) is TraversalSteps
+            assert steps[sl] == as_tuple[sl]
+        with pytest.raises(IndexError):
+            steps[len(steps)]
+        with pytest.raises(IndexError):
+            steps[-len(steps) - 1]
+
+    def test_concatenation(self, pair):
+        steps, as_tuple = pair
+        extra = (TraversalStep(0, 0, 1, "approach", 0),) * 3
+        for joined in (steps + extra, steps + list(extra), steps + TraversalSteps(extra)):
+            assert type(joined) is TraversalSteps and joined == as_tuple + extra
+        assert steps == as_tuple  # + left its operand alone
+
+    def test_out_of_range_id_raises_and_changes_nothing(self, pair):
+        steps, as_tuple = pair
+        for bad in (
+            TraversalStep(2**31, 0, 1, "approach", 0),
+            TraversalStep(0, 0, -(2**31) - 1, "approach", 0),
+            TraversalStep(0, 0, 1, "approach", 2**31),
+        ):
+            with pytest.raises(OverflowError):
+                steps.append(bad)
+            assert steps == as_tuple
+        with pytest.raises(ValueError, match="role"):
+            steps.append(TraversalStep(0, 0, 1, "teleport", 0))
+        assert steps == as_tuple
+
+    def test_hand_built_logs_share_the_form(self):
+        g = Graph(2, [(0, 1, 1)])
+        step = TraversalStep(0, 0, 1, "take-boundary", 0)
+        log = TraversalLog("blocking", 0, [step, step._replace(source=1, dest=0, role="return")],
+                           Fraction(2), EdgeSubset(g, {0}))
+        assert type(log.steps) is TraversalSteps and log.steps[0] == step
+        assert verify_cost_chain(g, log, 1).ok
+
+    def test_json_matches_the_tuple_era_log(self):
+        # captured from the engine when steps were a tuple of TraversalStep
+        g = read_graph(DATA / "comb_k3_d2.edges")
+        log = run_blocking(g, ExplorationParams(delta=2))
+        expected = json.loads((DATA / "comb_k3_d2.log.json").read_text(encoding="utf-8"))
+        assert log.to_json_dict() == expected
+        assert log.blocker_records == {8: (4, 5, 6, 7, 8), 9: (5, 7, 8), 10: (8,)}
+
+
+def test_log_memory_per_step_and_record():
+    # what the log of comb k=200, delta=2 keeps alive, by tracemalloc: a
+    # tuple of TraversalStep took about 97 bytes a step and frozensets of
+    # witnesses about 48 bytes a record; columns take about 18 and tuples 8
+    g, start, script = gen_comb_lower_bound(200, 2)
+    params = ExplorationParams(
+        delta=2, start=start, tie_break=TieBreak.adversarial(script), verify_invariants=False
+    )
+    tracemalloc.start()
+    try:
+        log = run_blocking(g, params)
+        steps, pairs = len(log.steps), sum(map(len, log.blocker_records.values()))
+        freed = {}
+        for name in ("steps", "blocker_records"):
+            before = tracemalloc.get_traced_memory()[0]
+            setattr(log, name, None)
+            gc.collect()
+            freed[name] = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert steps > 80_000 and pairs > 30_000
+    assert freed["steps"] < 40 * steps
+    assert freed["blocker_records"] < 20 * pairs

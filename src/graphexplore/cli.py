@@ -43,21 +43,17 @@ _USAGE_ERRORS = (ParseError, GenerationError, GraphStructureError, ValueError,
                  ResourceGuardError, OSError, json.JSONDecodeError, KeyError)
 
 
-def _parse_instance_arg(text: str, seed: int | None) -> InstanceSpec:
+def _parse_instance_arg(text: str) -> InstanceSpec:
     """--instance accepts an InstanceSpec JSON object or an edge-list path.
 
     A path that names no file is a usage error here, before any task runs.
     """
     text = text.strip()
     if text.startswith("{"):
-        spec = InstanceSpec.from_json_dict(json.loads(text))
-    elif Path(text).is_file():
-        spec = InstanceSpec(family="file", params={"path": text})
-    else:
-        raise ParseError(f"--instance {text!r} is neither a JSON spec nor a file")
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    return spec
+        return InstanceSpec.from_json_dict(json.loads(text))
+    if Path(text).is_file():
+        return InstanceSpec(family="file", params={"path": text})
+    raise ParseError(f"--instance {text!r} is neither a JSON spec nor a file")
 
 
 def _check_out_path(path: str | None) -> None:
@@ -82,15 +78,16 @@ def _build_config(args, need: str) -> ExperimentConfig:
         if not args.instance:
             raise ValueError("need --config or --instance")
         config = ExperimentConfig(
-            instances=[_parse_instance_arg(i, args.seed) for i in args.instance],
+            instances=[_parse_instance_arg(i) for i in args.instance],
         )
     # flag overrides stack on top of the file config; replace() builds a new
     # config, so its validation sees the final values
-    changes = {}
+    instances = config.instances
     if args.instance and args.config:
-        changes["instances"] = config.instances + [
-            _parse_instance_arg(i, args.seed) for i in args.instance
-        ]
+        instances = instances + [_parse_instance_arg(i) for i in args.instance]
+    if args.seed is not None:  # every instance's seed, the file's ones too
+        instances = [replace(spec, seed=args.seed) for spec in instances]
+    changes = {"instances": instances}
     if getattr(args, "delta", None):
         changes["algorithms"] = config.algorithms + [
             AlgorithmSpec("blocking", d) for d in args.delta
@@ -158,7 +155,9 @@ def _cmd_gen(args) -> int:
     if not args.instance or len(args.instance) != 1:
         raise ValueError("gen needs exactly one --instance")
     _check_out_path(args.out)
-    spec = _parse_instance_arg(args.instance[0], args.seed)
+    spec = _parse_instance_arg(args.instance[0])
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
     built = build_instance(spec)
     if args.format == "json":
         doc = {

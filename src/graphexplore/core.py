@@ -192,7 +192,7 @@ def _dijkstra(g: Graph, sources, *, edge_ok=None, parents: bool = False):
     return dist, par
 
 
-def _within(adj, u: int, v: int, radius, skip: int = -1):
+def _within(adj, u: int, v: int, radius, skip: int = -1, exact: bool = True):
     """Scaled distance from u to v over `adj` if it is <= radius, else None.
 
     `adj` has the shape of `Graph._adj` (rows of (neighbour, edge id, scaled
@@ -211,6 +211,12 @@ def _within(adj, u: int, v: int, radius, skip: int = -1):
     ball can label it no nearer than that.  A labelled neighbour is first
     recorded as a meeting, then pushed if it is within `radius` itself.
     So the cost is local to two balls of about half the radius.
+
+    With exact=False the search returns at the first meeting on a u-v path
+    of length <= radius, with that length: an upper bound on the distance,
+    never above `radius`, and equal to it when `radius` is the distance.
+    It returns None exactly when the exact search does, so it answers "is
+    there a detour within radius" without proving which one is shortest.
     """
     if u == v:
         return 0
@@ -236,6 +242,8 @@ def _within(adj, u: int, v: int, radius, skip: int = -1):
                 if y in other:
                     if nd + other[y] < best:
                         best = nd + other[y]
+                        if not exact and best <= radius:
+                            return best
                     if nd > radius:
                         continue
                 elif nd > lim:

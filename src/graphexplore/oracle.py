@@ -172,7 +172,8 @@ def brute_force_optspan_edges(g: Graph, epsilon, forced_edges=()) -> EdgeSubset:
         adj = [[t for t in row if t[1] not in gone] for row in g._adj]
         # the newest removal is the likeliest to fail, so it is tried first
         return all(
-            _within(adj, *ends[e], allowance[e]) is not None for e in reversed(removed)
+            _within(adj, *ends[e], allowance[e], exact=False) is not None
+            for e in reversed(removed)
         )
 
     # monotone pruning: supersets of an infeasible removal set fail too, so

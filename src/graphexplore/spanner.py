@@ -48,7 +48,9 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     exceeds (1+epsilon) * w(e).  The result spans g, has stretch at most
     1+epsilon, contains the (weight, id)-tie Kruskal MST, and no kept edge
     is redundant.  Every search runs in the spanner's own adjacency lists,
-    grown as edges are kept, and stops at the edge's allowance.
+    grown as edges are kept, and stops at the first detour within the
+    edge's allowance.  Exact distances are found only for the stretch
+    certificate, and only for dropped edges whose detour could raise it.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
@@ -61,34 +63,36 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     ends = g._edges
     hadj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
     kept: list[int] = []
-    dropped: list[tuple[Fraction, int, int]] = []  # (d / w, eid, d) when dropped
+    dropped: list[tuple[int, int]] = []  # (eid, detour length d) when dropped
     for eid in sorted(range(m), key=lambda e: (iw[e], e)):
         u, v = ends[eid]
         w = iw[eid]
-        d = _within(hadj, u, v, p * w // q)
+        d = _within(hadj, u, v, p * w // q, exact=False)
         if d is None:  # distance exceeds (1+eps) * w: keep
             hadj[u].append((v, eid, w))
             hadj[v].append((u, eid, w))
             kept.append(eid)
         elif w:
-            dropped.append((Fraction(d, w), eid, d))
+            dropped.append((eid, d))
     h = EdgeSubset(g, kept)
     # max stretch over all vertex pairs equals the max over edges of
     # d_h(u, v) / w(e): along a shortest g-path, each edge's endpoints are
     # within its per-edge ratio in h, and those detours concatenate.  A kept
     # edge has ratio exactly 1 (a lighter h-path would have blocked it).  h
-    # only grew after an edge was dropped, so the distance d seen then bounds
-    # its final one: search the final h from the largest d / w down, and
-    # stop once no bound can beat the ratio found so far
-    dropped.sort(key=lambda t: t[0], reverse=True)
-    cert = Fraction(1)
-    for bound, eid, d in dropped:
-        if bound <= cert:
-            break
+    # only grew after an edge was dropped, so the detour d seen then bounds
+    # its final distance: keep a running maximum top_d / top_w in scan
+    # order, and search the final h exactly only when d / w beats it
+    top_d, top_w = 1, 1
+    for eid, d in dropped:
+        w = iw[eid]
+        if d * top_w <= top_d * w:
+            continue
         u, v = ends[eid]
         dh = _within(hadj, u, v, d)
         assert dh is not None, "kept spanner must satisfy its own bound"
-        cert = max(cert, Fraction(dh, iw[eid]))
+        if dh * top_w > top_d * w:
+            top_d, top_w = dh, w
+    cert = Fraction(top_d, top_w)
     mst_w = minimum_spanning_tree(g).weight()
     return SpannerResult(
         edges=h,
@@ -128,11 +132,14 @@ def verify_spanner_stretch(g: Graph, h: EdgeSubset, epsilon) -> StretchReport:
     endpoints are connected in h, the max over all pairs of d_h/d_g equals
     the max over edges of d_h(u,v)/w(e), because d_g(u,v) <= w(e) and the
     per-edge detours along a shortest g-path concatenate.  So it runs one
-    search in h per edge of g, bounded by the edge's allowance; only an
-    edge that fails gets an unbounded search, to report its ratio or "pair
-    disconnected in h".  A zero-weight edge needs h-distance zero.
-    `pairs_checked` is the number of edges checked, `worst_pair` the
-    endpoints of the worst edge, and `max_ratio` equals the all-pairs
+    search in h per edge of g, which stops at the first detour within the
+    edge's allowance.  Exact distances are found only where a number is
+    reported: an edge whose detour beats the running maximum ratio is
+    searched again up to that detour, and an edge that fails gets an
+    unbounded search, to report its ratio or "pair disconnected in h".  A
+    zero-weight edge needs h-distance zero.  `pairs_checked` is the number
+    of edges checked, `worst_pair` the endpoints of the first edge in id
+    order with the largest ratio, and `max_ratio` equals the all-pairs
     maximum whenever h connects every edge's endpoints and keeps every
     zero-weight edge's endpoints at distance zero.  The cost is local to
     each edge's allowance, so there is no size guard.
@@ -156,7 +163,7 @@ def verify_spanner_stretch(g: Graph, h: EdgeSubset, epsilon) -> StretchReport:
             continue  # the edge itself is a path of ratio 1
         w = iw[eid]
         pair = (u, v) if u < v else (v, u)
-        d = _within(hadj, u, v, p * w // q)
+        d = _within(hadj, u, v, p * w // q, exact=False)
         if w == 0:
             if d is None:
                 violations.append({"pair": pair, "why": "zero g-distance, positive h-distance"})
@@ -169,6 +176,8 @@ def verify_spanner_stretch(g: Graph, h: EdgeSubset, epsilon) -> StretchReport:
             violations.append(
                 {"pair": pair, "ratio": str(Fraction(d, w)), "allowed": str(one_plus)}
             )
+        elif d * top_w > top_d * w:
+            d = _within(hadj, u, v, d)  # the detour may beat the maximum: make it exact
         if d * top_w > top_d * w:
             top_d, top_w = d, w
             worst = pair

@@ -431,6 +431,25 @@ class TestCliRoundTrips:
         assert b.read_text() == c.read_text()
         assert a.read_text() != b.read_text()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("explore", ["--delta", "2"]),
+        ("spanner", ["--epsilon", "1/2"]),
+    ])
+    def test_seed_overrides_config_instances(self, tmp_path, command, flags):
+        # --seed reaches the file's instances as well as --instance ones
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"instances": [{"family": "random_planar", "params": {"points": 16}}]}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        labels = {}
+        for seed in (5, 9):
+            out = tmp_path / f"rows{seed}.json"
+            rc = main([command, "--config", str(cfg_path), "--instance", PLANAR,
+                       "--seed", str(seed), "--format", "json", "--out", str(out), *flags])
+            assert rc == 0
+            labels[seed] = {r["instance"] for r in json.loads(out.read_text(encoding="utf-8"))}
+        assert labels[5] == {"random_planar[points=16]#5", "random_planar[points=25]#5"}
+        assert labels[9] == {"random_planar[points=16]#9", "random_planar[points=25]#9"}
+
 
 class TestCliErrors:
     def test_no_subcommand_is_usage_error(self):

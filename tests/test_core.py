@@ -303,6 +303,35 @@ def test_bounded_search_radius_boundary(n, data):
             assert _within(g._adj, u, v, d - 1, skip) is None
 
 
+@settings(max_examples=200)
+@given(n=st.integers(min_value=2, max_value=30), data=st.data())
+def test_early_exit_search_contract(n, data):
+    # exact=False finds a detour iff the exact search does, reports a length
+    # between the distance and the radius, and the distance at radius d
+    weights = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), 3])
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = data.draw(st.lists(st.tuples(ends, weights), max_size=4 * n))
+    g = Graph(n, [(a, b, w) for (a, b), w in edges if a != b])
+    skip = data.draw(st.integers(-1, g.edge_count - 1))
+    radii = data.draw(st.lists(st.integers(0, 8 * g._scale), min_size=1, max_size=4))
+    for u in range(n):
+        dist, _ = _dijkstra(g, [(0, u)], edge_ok=lambda e: e != skip)
+        for v in range(n):
+            if v == u:
+                continue
+            d = dist[v]
+            rs = radii + ([INF] if d == INF else [d, d - 1, INF])
+            for r in rs:
+                exact = _within(g._adj, u, v, r, skip)
+                early = _within(g._adj, u, v, r, skip, exact=False)
+                if exact is None:
+                    assert early is None
+                else:
+                    assert exact == d and d <= early <= r
+            if d != INF:
+                assert _within(g._adj, u, v, d, skip, exact=False) == d
+
+
 @given(st.lists(st.fractions(min_value=0, max_value=50, max_denominator=60), max_size=12))
 def test_scaled_weights_are_exact(weights):
     # mixed denominators, and always a zero weight

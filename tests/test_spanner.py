@@ -19,6 +19,7 @@ import graphexplore.experiments as experiments
 from graphexplore.experiments import SPANNER_CHECKS, spanner_row
 from graphexplore.instances import InstanceSpec, build_instance, gen_random_planar, gen_toroidal_grid
 from graphexplore.oracle import brute_force_optspan, brute_force_optspan_edges
+import graphexplore.spanner as spanner_module
 from graphexplore.spanner import (
     greedy_spanner,
     lightness,
@@ -188,6 +189,15 @@ class TestStretchVerifier:
         assert rep.max_ratio == 2000
         assert rep.worst_pair == (0, 2000)
 
+    @pytest.mark.parametrize("chords", [[(1, 3), (0, 2)], [(0, 2), (1, 3)]])
+    def test_first_edge_in_id_order_wins_a_tie(self, chords):
+        # both unit chords of a kept unit square have ratio 2
+        square = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]
+        g = Graph(4, square + [(a, b, 1) for a, b in chords])
+        rep = verify_spanner_stretch(g, EdgeSubset(g, range(4)), 1)
+        assert rep.ok and rep.max_ratio == 2
+        assert rep.worst_pair == chords[0]
+
     def test_spanner_row_above_two_thousand_vertices(self):
         built = build_instance(InstanceSpec("toroidal_grid", {"p": 46, "q": 46}, 1))
         assert built.graph.n > 2000
@@ -217,6 +227,27 @@ class TestCertificate:
             eps = Fraction(rng.randint(1, 8), 4)
             r = greedy_spanner(g, eps)
             assert r.stretch_certificate <= 1 + eps
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(2)])
+    def test_exact_searches_only_where_a_number_is_reported(self, monkeypatch, eps):
+        # dense G(200, 1/5): about 4,000 edges, each searched by the greedy
+        # and again by the stretch check, but few of them searched exactly
+        g = build_instance(InstanceSpec("erdos_renyi", {"n": 200, "p": "1/5"}, 0)).graph
+        exact_calls = [0]
+        within = spanner_module._within
+
+        def counting(*args, **kwargs):
+            exact_calls[0] += kwargs.get("exact", True)
+            return within(*args, **kwargs)
+
+        monkeypatch.setattr(spanner_module, "_within", counting)
+        r = greedy_spanner(g, eps)
+        assert exact_calls[0] <= 100
+        exact_calls[0] = 0
+        assert verify_spanner_stretch(g, r.edges, eps).ok
+        assert exact_calls[0] <= 100
 
 
 class TestMinimality:
@@ -415,3 +446,53 @@ def test_per_edge_stretch_matches_all_pairs(seed, eps, keep_share):
         joined = joined and dh != float("inf") and (g.weight(eid) > 0 or dh == 0)
     if joined:
         assert rep.max_ratio == max_ratio
+
+
+def per_edge_stretch_report(g: Graph, ids, eps):
+    """(ok, max ratio, worst pair, violations) from one Dijkstra over h per edge."""
+    top, worst, violations = Fraction(1), None, []
+    for eid, (u, v) in enumerate(g.edges):
+        if eid in ids:
+            continue
+        pair = (min(u, v), max(u, v))
+        w = g.weight(eid)
+        dh = shortest_path_distances(g, u, edge_filter=lambda e: e in ids)[v]
+        if w == 0:
+            if dh != 0:
+                violations.append({"pair": pair, "why": "zero g-distance, positive h-distance"})
+            continue
+        if dh == float("inf"):
+            violations.append({"pair": pair, "why": "pair disconnected in h"})
+            continue
+        if dh / w > 1 + eps:
+            violations.append({"pair": pair, "ratio": str(dh / w), "allowed": str(1 + eps)})
+        if dh / w > top:
+            top, worst = dh / w, pair
+    return not violations, top, worst, violations
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    eps=st.sampled_from([Fraction(1, 7), Fraction(1, 2), Fraction(1), Fraction(3)]),
+    keep_share=st.sampled_from([Fraction(1, 3), Fraction(2, 3), Fraction(1)]),
+)
+def test_stretch_report_matches_per_edge_reference(seed, eps, keep_share):
+    # zero weights, parallel edges and violating keep-sets; with four
+    # weights, edges of different pairs often tie on the maximum ratio, and
+    # the first of them in id order must be the worst pair
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    weights = [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2)]
+    edges = [(rng.randrange(i), i, rng.choice(weights)) for i in range(1, n)]
+    for _ in range(rng.randint(0, 12)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(weights)))
+    for _ in range(rng.randint(0, 3)):
+        u, v, w = rng.choice(edges)
+        edges.append((v, u, w))
+    g = Graph(n, edges)
+    keep = {e for e in range(g.edge_count) if rng.random() < keep_share}
+    rep = verify_spanner_stretch(g, EdgeSubset(g, keep), eps)
+    assert rep.pairs_checked == g.edge_count
+    assert (rep.ok, rep.max_ratio, rep.worst_pair, rep.violations) == per_edge_stretch_report(g, keep, eps)

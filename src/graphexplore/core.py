@@ -219,7 +219,7 @@ def _within(adj, u: int, v: int, radius, skip: int = -1, exact: bool = True):
     there a detour within radius" without proving which one is shortest.
     """
     if u == v:
-        return 0
+        return 0 if radius >= 0 else None
     n = len(adj)
     dist_u, dist_v = {u: 0}, {v: 0}
     heap_u, heap_v = [u], [v]

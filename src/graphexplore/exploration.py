@@ -18,7 +18,7 @@ The engine only ever reads adjacency of explored vertices.  The state
 counts every adjacency read, and the Dijkstra kernel raises if it is asked
 to expand an unexplored vertex.
 
-Four exact facts let the engine skip work without changing any decision:
+Five exact facts let the engine skip work without changing any decision:
 
 1. Edges into an unexplored v leave the boundary only when v is explored,
    so minw[v], the lightest boundary edge into v, can only fall while v is
@@ -41,6 +41,16 @@ Four exact facts let the engine skip work without changing any decision:
    writes the re-activation records.  A witness a blocked check finds is
    only a cache entry: it proves "blocked" until it is explored, so which
    check finds a witness, and when, changes no decision.
+5. An approach walk heads for the source y of an edge recorded at the
+   current vertex.  That edge is still on the boundary, so y's ball holds
+   the exact distance to y of every vertex on a shortest path, and a
+   search steered by it (A* with an exact heuristic) settles only those,
+   in the same order and with the same parents, and sees every second
+   shortest path.  A frame at v that takes no edge explores nothing after
+   v; if y, the source of the edge into v, is v's one explored neighbour,
+   no path passes through v, and if the approach path was the only
+   shortest path, the way back is v's first lightest edge to y and then
+   the approach reversed: the path a search from v finds.
 
 One Dijkstra kernel builds the balls and serves every walk.  It pushes only
 explored vertices onto its heap and keeps tentative distances of unexplored
@@ -165,7 +175,8 @@ class ExplorationState:
     explored u, inner[u] lists the (neighbour, edge, weight) entries of its
     explored neighbours, in adjacency order per neighbour: out[u] and
     inner[u] together are u's adjacency, read once when u was explored.
-    adjacency_reads counts those reads and the Dijkstra kernel's expansions.
+    adjacency_reads counts those reads and every later one: the Dijkstra
+    kernel's expansions and the engine's ball repairs and retraced returns.
 
     rec_by_witness[v'] lists the boundary edges that v' blocked just before
     v' was explored (the ball lookup); the invocation started at v'
@@ -195,6 +206,7 @@ class ExplorationState:
         self._dj_stamp = [0] * n
         self._dj_dist = [0] * n
         self._dj_pare = [-1] * n
+        self._dj_tie = False
 
     @classmethod
     def initial(cls, g: Graph, start: int) -> "ExplorationState":
@@ -295,6 +307,7 @@ def _dijkstra_explored(
     parents=False,
     stop_leaf=False,
     want_leaves=False,
+    guide=None,
 ):
     """Dijkstra whose paths pass through explored vertices only.
 
@@ -312,6 +325,18 @@ def _dijkstra_explored(
     point are then exact.  Every expansion counts one adjacency read; an
     unexplored vertex is never expanded, and a seed at one raises
     OnlinePurityError.
+
+    guide, with one seed s and a target, holds exact distances to the
+    target (a ball of it): D = guide[s] is the distance to cover, and x is
+    relaxed only when guide[x] >= 0 and d + w + guide[x] <= D.  That is A*
+    with an exact heuristic: only vertices on shortest paths are pushed,
+    each once and at its exact distance, and they settle in the same
+    (distance, id) order with the same first-improvement parents as
+    without the guide (a guided search always records parents).  The
+    search then runs on past the target, still without expanding it, so
+    that every shortest path is relaxed: state._dj_tie tells whether some
+    relaxation reached an already stamped or settled vertex, a second
+    shortest path to it.  A guide without s raises InvariantViolation.
     """
     state._gen += 1
     gen = state._gen
@@ -331,12 +356,20 @@ def _dijkstra_explored(
             if parents:
                 pare[s] = -1
             heappush(heap, d0 * n + s)
+    if guide is not None:
+        ((_, start),) = seeds
+        budget = guide[start]
+        if budget < 0:
+            raise InvariantViolation(
+                "approach-guide", witness=(start, target), detail="the guiding ball lacks the start"
+            )
     want_leaves = want_leaves or stop_leaf
     # no key at or beyond `cut` is settled
     cut = INF if radius is None else (radius + 1) * n
     leaves: dict[int, int] = {}
     settled = []
     reads = 0
+    tie = False
     while heap:
         key = heappop(heap)
         if key >= cut:
@@ -347,12 +380,29 @@ def _dijkstra_explored(
         stamp[u] = done
         settled.append(u)
         if u == target:
-            break
+            if guide is None:
+                break
+            continue
         if not explored[u]:
             state.adjacency_reads += reads
             raise OnlinePurityError(f"adjacency of unexplored vertex {u} requested")
         reads += 1
         d = key // n
+        if guide is not None:
+            for other, eid, w in inner[u]:
+                h = guide[other]
+                nd = d + w
+                if h < 0 or nd + h > budget:
+                    continue
+                s = stamp[other]
+                if s == done or s == gen:
+                    tie = True  # every pushed distance is exact: an equal one
+                    continue
+                stamp[other] = gen
+                dist[other] = nd
+                pare[other] = eid
+                heappush(heap, nd * n + other)
+            continue
         for other, eid, w in inner[u]:
             s = stamp[other]
             if s == done:
@@ -379,6 +429,7 @@ def _dijkstra_explored(
                     if lk < cut:
                         cut = lk
     state.adjacency_reads += reads
+    state._dj_tie = tie
     return settled, leaves
 
 
@@ -427,30 +478,24 @@ def is_blocked(state: ExplorationState, g: Graph, eid: int, delta):
         return False, set()
     radius = one_plus.numerator * w // one_plus.denominator
     dist, leaves = _ball(state, state.src[eid], radius)
-    (blockers,) = _blocking_witnesses(state, dist, leaves, [(eid, radius)])
+    blockers = _blocking_witnesses(state, dist, leaves, eid, radius)
     return bool(blockers), set(blockers)
 
 
-def _blocking_witnesses(state: ExplorationState, dist, leaves: list[int], checks) -> list[list[int]]:
-    """The blocking predicate, for boundary edges leaving one explored source.
+def _blocking_witnesses(state: ExplorationState, dist, leaves: list[int], eid: int, radius: int) -> list[int]:
+    """The blocking predicate for boundary edge eid, over its source's ball.
 
-    dist and leaves are the source's ball (see _ball), whose radius is at
-    least every check's; checks holds (edge, scaled radius) pairs.  Every
-    unexplored leaf v' within an edge's radius whose lightest boundary edge
-    minw[v'] is lighter than the edge blocks it.  Returns each edge's
-    witnesses, in the order of checks.  The edge itself is never the
+    dist and leaves are the ball of eid's explored endpoint (see _ball),
+    whose radius is at least `radius`, eid's scaled blocking radius.  Every
+    unexplored leaf v' within `radius` whose lightest boundary edge minw[v']
+    is lighter than eid blocks it; returns them.  eid itself is never the
     lightest edge at a witness, so it needs no exclusion (fact 2 of the
     module docstring).  Explored vertices are dropped from leaves in place.
     """
-    explored, minw, iw = state.explored, state.minw, state.g._iw
+    explored, minw = state.explored, state.minw
+    w = state.g._iw[eid]
     leaves[:] = [v for v in leaves if not explored[v]]
-    radius = max(r for _, r in checks)
-    near = [(v, dv, minw[v]) for v in leaves if (dv := dist[v]) <= radius]
-    found = []
-    for eid, bound in checks:
-        w = iw[eid]
-        found.append([v for v, dv, bw in near if dv <= bound and bw < w])
-    return found
+    return [v for v in leaves if dist[v] <= radius and minw[v] < w]
 
 
 # ---------------------------------------------------------------------------
@@ -630,26 +675,34 @@ def _path_to(state: ExplorationState, x: int) -> list[tuple[int, int, int]]:
     return path
 
 
-def _walk(state: ExplorationState, steps: TraversalSteps, to: int, role: str, charge: int, radius=None):
+def _too_far(state: ExplorationState, to: int, role: str) -> InvariantViolation:
+    return InvariantViolation(
+        "walk-distance-bound",
+        witness=(state.position, to, role),
+        detail="no internally explored path within the guaranteed radius",
+    )
+
+
+def _walk(state: ExplorationState, steps: TraversalSteps, to: int, role: str, charge: int,
+          radius=None, guide=None) -> list[tuple[int, int, int]]:
     """Walk a shortest internally explored path from the position to `to`.
 
-    Appends its steps, charged to taken edge `charge`, and adds their cost.
-    No such path within `radius` (scaled) is an engine failure.
+    Appends its steps, charged to taken edge `charge`, adds their cost and
+    returns them.  No such path within `radius` (scaled) is an engine
+    failure.  guide, a ball of `to`, only steers the search (see
+    _dijkstra_explored); the path is the same.
     """
     if state.position == to:
-        return
-    _dijkstra_explored(state, [(0, state.position)], radius=radius, target=to, parents=True)
+        return []
+    _dijkstra_explored(state, [(0, state.position)], radius=radius, target=to, parents=True, guide=guide)
     if state._dj_stamp[to] != -state._gen:
-        raise InvariantViolation(
-            "walk-distance-bound",
-            witness=(state.position, to, role),
-            detail="no internally explored path within the guaranteed radius",
-        )
+        raise _too_far(state, to, role)
     path = _path_to(state, to)
     steps.add_path(path, role, charge)
     iw = state.g._iw
     state.cost += sum(iw[eid] for eid, _, _ in path)
     state.position = to
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -813,36 +866,24 @@ class _Engine:
 
     # -- blocking checks ----------------------------------------------------
 
-    def _blocked_many(self, source: int, eids: list[int], mn, status: dict) -> None:
-        """Blocked status for boundary edges sharing explored endpoint source.
+    def _blocked(self, eid: int, mn) -> bool:
+        """Is boundary edge eid blocked?  mn is the lightest boundary weight.
 
-        mn is the lightest boundary weight.  Cheap verdicts first: nothing on
-        the boundary is lighter, or a cached witness that is still unexplored
-        proves "blocked" with no distance work.  The rest go to the blocking
-        predicate over the source's ball, which exists since one of its
-        edges is heavier than mn, and the witnesses it finds become the
-        edge's cache.
+        Cheap verdicts first: nothing on the boundary is lighter, or a
+        cached witness that is still unexplored proves "blocked" with no
+        distance work.  Otherwise the blocking predicate runs over the ball
+        of eid's source, which exists since eid is heavier than mn, and the
+        witnesses it finds become the edge's cache.
         """
         st = self.state
-        iw = self.g._iw
-        bnd = self.bnd
-        needy = []
-        for eid in eids:
-            w = iw[eid]
-            if mn is None or mn >= w:
-                status[eid] = False
-            elif st.has_valid_witness(eid):
-                status[eid] = True
-            else:
-                needy.append(eid)
-        if not needy:
-            return
-        found = _blocking_witnesses(
-            st, self.balls[source], self.leaves[source], [(eid, bnd[eid]) for eid in needy]
-        )
-        for eid, blockers in zip(needy, found):
-            status[eid] = bool(blockers)
-            st._active_wit[eid] = blockers
+        if mn is None or mn >= self.g._iw[eid]:
+            return False
+        if st.has_valid_witness(eid):
+            return True
+        u = st.src[eid]
+        blockers = _blocking_witnesses(st, self.balls[u], self.leaves[u], eid, self.bnd[eid])
+        st._active_wit[eid] = blockers
+        return bool(blockers)
 
     def _select(self, v: int):
         """First admissible boundary edge at the invocation vertex v, or None.
@@ -851,33 +892,22 @@ class _Engine:
         because v was recorded as a blocker endpoint for it.  Edges leaving v
         are preferred as a class; within a class the tie-break order decides.
         Builds the balls the current boundary needs first, so that they
-        also serve the lookup of the edge selected.
+        also serve the lookup of the edge selected.  The edges re-activated
+        at v are stored in tie-break order, so one scan in order, which
+        skips the edges that left the boundary, finds the first admissible.
         """
         st = self.state
-        prio = self.prio
         mn = st.min_boundary_weight_scaled()
         self._build_balls(mn)
-        status: dict[int, bool] = {}
-        class1 = sorted(st.out[v], key=prio.__getitem__)
-        if class1:
-            self._blocked_many(v, class1, mn, status)
-            for eid in class1:
-                if not status[eid]:
-                    return eid
+        blocked = self._blocked
+        for eid in sorted(st.out[v], key=self.prio.__getitem__):
+            if not blocked(eid, mn):
+                return eid
         recs = st.rec_by_witness.get(v)
         if recs:
             src, far, explored = st.src, st.far, st.explored
-            class2 = sorted(
-                (e for e in recs if not explored[far[e]] and src[e] != v),
-                key=prio.__getitem__,
-            )
-            by_source: dict[int, list[int]] = {}
-            for eid in class2:
-                by_source.setdefault(src[eid], []).append(eid)
-            for source, eids in by_source.items():
-                self._blocked_many(source, eids, mn, status)
-            for eid in class2:
-                if not status[eid]:
+            for eid in recs:
+                if not explored[far[eid]] and src[eid] != v and not blocked(eid, mn):
                     return eid
         return None
 
@@ -892,8 +922,9 @@ class _Engine:
         that the invocation at x can re-activate it (fact 4).  Only an edge
         heavier than minw[x] can be recorded, and its source has a ball,
         built by that select; x is in it when d(u, x) is within the
-        source's radius.  The records feed rec_by_witness only: x is
-        explored next, so a cache entry for it could never confirm anything.
+        source's radius.  The records feed rec_by_witness only, in
+        tie-break order for the selects at x: x is explored next, so a
+        cache entry for it could never confirm anything.
         """
         held = self.holders[x]
         if not held:
@@ -911,6 +942,7 @@ class _Engine:
                 if d <= bnd[eid] and iw[eid] > wmin and far[eid] != x:
                     found.append(eid)
         if found:
+            found.sort(key=self.prio.__getitem__)
             st.rec_by_witness[x] = found
 
     # -- main loop ----------------------------------------------------------
@@ -919,26 +951,41 @@ class _Engine:
         st = self.state
         g = self.g
         iw = g._iw
-        frames: list[tuple[int, int]] = [(st.position, -1)]
+        # a frame: its vertex, the edge that entered it, and the approach
+        # path before that edge while a retrace can stand in for the search
+        # back (else None); see _return
+        frames: list[tuple[int, int, list | None]] = [(st.position, -1, None)]
         while frames:
-            v = frames[-1][0]
+            v, entered_by, approach = frames[-1]
             eid = self._select(v)
             if eid is None:
-                _, entered_by = frames.pop()
+                frames.pop()
                 if frames:
-                    radius = self.p2 * iw[entered_by] // self.q2
-                    _walk(st, self.steps, frames[-1][0], RETURN, entered_by, radius)
+                    self._return(v, entered_by, approach, frames[-1][0])
                 continue
+            if approach is not None:
+                frames[-1] = (v, entered_by, None)
             y, x, w = st.src[eid], st.far[eid], iw[eid]
-            if y != v:
-                _walk(st, self.steps, y, APPROACH, eid, self.bnd[eid])
+            if y == v:
+                approach = []
+            else:
+                ball = self.balls[y]
+                if ball is None:
+                    raise InvariantViolation("approach-guide", witness=(v, y), detail="the source has no ball")
+                approach = _walk(st, self.steps, y, APPROACH, eid, self.bnd[eid], ball)
+                if st._dj_tie:
+                    approach = None
             self._record_blockers(x)
             self.steps.append(TraversalStep(eid, y, x, TAKE, eid))
             st.cost += w
             self._explore(x)
+            # the return from x retraces only if y is its one explored
+            # neighbour, seen while x's adjacency is read (see _return)
+            if approach is not None and any(other != y for other, _, _ in st.inner[x]):
+                approach = None
             st.position = x
             self.taken.append(eid)
-            frames.append((x, eid))
+            frames.append((x, eid, approach))
         if st.explored_count != g.n:
             missing = next(i for i in range(g.n) if not st.explored[i])
             raise InvariantViolation("exploration-complete", witness=missing)
@@ -959,6 +1006,36 @@ class _Engine:
             "violations": 0,
         }
         return log
+
+    def _return(self, v: int, entered_by: int, approach, to: int) -> None:
+        """Walk back from v, whose frame is done, to `to`, its caller's vertex.
+
+        approach is the frame's kept approach path (see run), or None.  It
+        is kept only while the frame has taken no edge, if the approach saw
+        no tie and if y, the source of entered_by, is v's one explored
+        neighbour.  Then v is a dead end and the approach path is the only
+        shortest path from `to` to y, so the way back is v's first lightest
+        edge to y and then that path reversed: exactly the path a search
+        from v finds (fact 5).  Reading v's edges counts one adjacency read,
+        like an expansion.  Every other return searches.
+        """
+        st = self.state
+        radius = self.p2 * self.g._iw[entered_by] // self.q2
+        if approach is None:
+            _walk(st, self.steps, to, RETURN, entered_by, radius)
+            return
+        st.adjacency_reads += 1
+        y = st.src[entered_by]
+        _, first, cost = min(st.inner[v], key=operator.itemgetter(2))
+        iw = self.g._iw
+        cost += sum(iw[eid] for eid, _, _ in approach)
+        if cost > radius:
+            raise _too_far(st, to, RETURN)
+        path = [(first, v, y)]
+        path += [(eid, b, a) for eid, a, b in reversed(approach)]
+        self.steps.add_path(path, RETURN, entered_by)
+        st.cost += cost
+        st.position = to
 
     def _blocker_records(self) -> dict[int, tuple[int, ...]]:
         """rec_by_witness turned around: each edge's witnesses, a sorted tuple.

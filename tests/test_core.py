@@ -283,8 +283,9 @@ def test_bounded_search_matches_full_dijkstra(seed):
 @settings(max_examples=200)
 @given(n=st.integers(min_value=2, max_value=30), data=st.data())
 def test_bounded_search_radius_boundary(n, data):
-    # every pair's exact distance is found at radius d and missed at d - 1,
-    # on graphs with zero weights, parallel edges and a skipped edge
+    # every pair's exact distance, u == v included, is found at radius d and
+    # missed at d - 1, on graphs with zero weights, parallel edges and a
+    # skipped edge
     weights = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), 3])
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = data.draw(st.lists(st.tuples(ends, weights), max_size=4 * n))
@@ -293,8 +294,6 @@ def test_bounded_search_radius_boundary(n, data):
     for u in range(n):
         dist, _ = _dijkstra(g, [(0, u)], edge_ok=lambda e: e != skip)
         for v in range(n):
-            if v == u:
-                continue
             d = dist[v]
             if d == INF:
                 assert _within(g._adj, u, v, INF, skip) is None
@@ -307,7 +306,8 @@ def test_bounded_search_radius_boundary(n, data):
 @given(n=st.integers(min_value=2, max_value=30), data=st.data())
 def test_early_exit_search_contract(n, data):
     # exact=False finds a detour iff the exact search does, reports a length
-    # between the distance and the radius, and the distance at radius d
+    # between the distance and the radius, and the distance at radius d;
+    # u == v is included
     weights = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), 3])
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = data.draw(st.lists(st.tuples(ends, weights), max_size=4 * n))
@@ -317,8 +317,6 @@ def test_early_exit_search_contract(n, data):
     for u in range(n):
         dist, _ = _dijkstra(g, [(0, u)], edge_ok=lambda e: e != skip)
         for v in range(n):
-            if v == u:
-                continue
             d = dist[v]
             rs = radii + ([INF] if d == INF else [d, d - 1, INF])
             for r in rs:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphexplore.core import (
     INF,
@@ -16,6 +16,7 @@ from graphexplore.core import (
 )
 from graphexplore.errors import (
     GraphStructureError,
+    InvariantViolation,
     OnlinePurityError,
     StateError,
 )
@@ -30,6 +31,7 @@ from graphexplore.exploration import (
     _Engine,
     _ball,
     _dijkstra_explored,
+    _path_to,
     is_blocked,
     run_blocking,
     run_nearest_neighbor,
@@ -150,6 +152,33 @@ class TestInternallyExploredDistance:
             for y in range(8):
                 assert Fraction(st_._dj_dist[y], g._scale) == ref.dist[y]
 
+    def test_guided_search_keeps_the_path_and_sees_ties(self, rng):
+        # a guide of exact distances to the target leaves the path alone;
+        # with positive weights it reports a tie iff a second shortest path
+        # exists, counted over tight edges in order of distance
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            g = _tied_graph(rng, n, rng.randint(0, 2 * n))
+            st_ = ExplorationState.from_explored(g, range(n), 0)
+            s, t = rng.sample(range(n), 2)
+            _dijkstra_explored(st_, [(0, s)], target=t, parents=True)
+            path = _path_to(st_, t)
+            settled, _ = _dijkstra_explored(st_, [(0, s)])
+            dist = {x: st_._dj_dist[x] for x in settled}
+            count = dict.fromkeys(range(n), 0)
+            count[s] = 1
+            for x in sorted(settled, key=dist.__getitem__):
+                for y, _, w in st_.inner[x]:
+                    if dist[x] + w == dist[y]:
+                        count[y] += count[x]
+            guide, _ = _ball(st_, t, sum(g._iw))
+            _dijkstra_explored(st_, [(0, s)], target=t, parents=True, guide=guide)
+            assert _path_to(st_, t) == path
+            assert st_._dj_tie == (count[t] > 1)
+            guide[s] = -1
+            with pytest.raises(InvariantViolation):
+                _dijkstra_explored(st_, [(0, s)], target=t, parents=True, guide=guide)
+
     def test_unexplored_interior_blocks_path(self):
         # 0 -- 1 -- 2 with 1 unexplored: no internally explored 0-2 path
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
@@ -240,6 +269,18 @@ class TestCombLowerBound:
                 if s.charged_to == hid and s.role == "approach"
             )
             assert approach >= k
+
+    def test_walks_cost_about_what_they_emit(self):
+        # on the benchmark's scripted comb k=200 at delta=2 the steps are the
+        # output itself; ball-guided approaches and retraced dead-end returns
+        # keep the reads near them (searching every walk read 239,785)
+        g, start, script = gen_comb_lower_bound(200, 2)
+        params = ExplorationParams(
+            delta=2, start=start, tie_break=TieBreak.adversarial(script), verify_invariants=False
+        )
+        log = run_blocking(g, params)
+        assert len(log.steps) == 81_998
+        assert log.verification["access_audit"]["adjacency_reads"] <= 130_000
 
 
 class TestDeterminismAndTieBreaks:
@@ -492,6 +533,8 @@ def _tied_graph(
     delta=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]),
     kind=st.sampled_from(["by_edge_id", "adversarial", "random"]),
 )
+# a dead-end return that must search: its approach had a second shortest path
+@example(seed=47524, delta=Fraction(1, 2), kind="random")
 def test_engine_matches_reference_definition(seed, delta, kind):
     rng = random.Random(seed)
     n = rng.randint(2, 11)
@@ -512,6 +555,23 @@ def test_engine_matches_reference_definition(seed, delta, kind):
     assert log.total_cost == ref.total_cost
     assert log.blocker_records == ref.blocker_records
     assert all(log.verification[name]["ok"] for name in ("cost_chain", "cycle_minimality"))
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+# a second shortest path into the target from a vertex settled after it
+@example(seed=5698)
+def test_engine_matches_reference_with_zero_weights(seed):
+    # zero-weight edges put several vertices at the distance of a walk's
+    # target: a guided approach must still see every second shortest path
+    rng = random.Random(seed)
+    n = rng.randint(2, 11)
+    g = _tied_graph(rng, n, rng.randint(0, 2 * n), (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2)))
+    delta = rng.choice([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)])
+    params = ExplorationParams(delta, rng.randrange(n), TieBreak.random(rng.randrange(1000)))
+    log = run_blocking(g, params)
+    ref = reference_blocking(g, params)
+    assert log.steps == ref.steps and log.blocker_records == ref.blocker_records
 
 
 def _small_instance(family: str, rng: random.Random):

@@ -3,9 +3,9 @@
 The comb is a tree: a unit-weight spine of 2k vertices, a unit "light" leaf
 on each of the first k spine vertices, and a heavy leaf of weight
 (k+1)/(delta+1) on each of the last k.  Every heavy tooth sits exactly at the
-blocking threshold, so with adversarial tie-breaking the explorer finishes
-the whole spine and all light teeth first, then pays a long approach for
-every heavy tooth separately.
+blocking threshold.  The explorer breaks ties by edge id and the comb numbers
+its spine edges first, so it finishes the whole spine and all light teeth
+first, then pays a long approach for every heavy tooth separately.
 
 Run:  python3 demos/comb_walkthrough.py [k] [delta]
 """
@@ -17,7 +17,6 @@ from fractions import Fraction
 from graphexplore import (
     ExplorationParams,
     InstanceSpec,
-    TieBreak,
     build_instance,
     run_blocking,
     run_nearest_neighbor,
@@ -28,11 +27,7 @@ def explore(k: int, delta: Fraction):
     built = build_instance(
         InstanceSpec("comb_lower_bound", {"k": k, "delta": str(delta)})
     )
-    params = ExplorationParams(
-        delta=delta,
-        start=built.start,
-        tie_break=TieBreak.adversarial(built.tie_break_script),
-    )
+    params = ExplorationParams(delta=delta, start=built.start)
     return built, run_blocking(built.graph, params)
 
 

@@ -3,7 +3,8 @@
 For each family: run the delta-blocking explorer at a few deltas plus the
 nearest-neighbor baseline, and report cost over w(MST).  On small instances
 the exact optimal tour is also shown, so the true competitive ratio can be
-read off directly.
+read off directly.  Every run breaks ties by edge id; the comb's numbering
+makes that order adversarial.
 """
 
 import sys
@@ -12,13 +13,13 @@ from fractions import Fraction
 from graphexplore import (
     ExplorationParams,
     InstanceSpec,
-    TieBreak,
     build_instance,
     exact_tsp,
     minimum_spanning_tree,
     run_blocking,
     run_nearest_neighbor,
 )
+from graphexplore.oracle import TSP_MAX_N
 
 DELTAS = (Fraction(1, 2), Fraction(2), Fraction(5))
 
@@ -37,19 +38,11 @@ def main() -> int:
         built = build_instance(spec)
         g = built.graph
         mst_w = minimum_spanning_tree(g).weight()
-        tie = (
-            TieBreak.adversarial(built.tie_break_script)
-            if built.tie_break_script is not None
-            else TieBreak.by_edge_id()
-        )
-        opt = exact_tsp(g, built.start).cost if g.n <= 15 else None
+        opt = exact_tsp(g, built.start).cost if g.n <= TSP_MAX_N else None
         print(f"{spec.label}: n={g.n} m={g.edge_count} w(MST)={float(mst_w):.3f}"
               + (f" opt={float(opt):.3f}" if opt is not None else ""))
         for delta in DELTAS:
-            log = run_blocking(
-                g,
-                ExplorationParams(delta=delta, start=built.start, tie_break=tie),
-            )
+            log = run_blocking(g, ExplorationParams(delta=delta, start=built.start))
             line = (f"  blocking d={str(delta):>3s}: cost/w(MST) = "
                     f"{float(log.total_cost / mst_w):6.3f}")
             if opt:

@@ -24,6 +24,7 @@ from graphexplore import (
     taken_union_mst,
     verify_blocking_cycle_property,
 )
+from graphexplore.oracle import CYCLE_SPACE_MAX_NU
 
 
 def main() -> int:
@@ -63,7 +64,7 @@ def main() -> int:
         rep = verify_blocking_cycle_property(g, log, delta)
         sub, _ = restrict(g, taken_union_mst(g, log))
         nu = sub.edge_count - sub.n + 1
-        if nu > 12:
+        if nu > CYCLE_SPACE_MAX_NU:
             continue
         enum = enumerate_cycles_check(sub, 1 + delta)
         assert rep.ok == enum.ok, seed

@@ -39,7 +39,6 @@ from .instances import (
 from .exploration import (
     ExplorationParams,
     ExplorationState,
-    TieBreak,
     TraversalLog,
     TraversalStep,
     TraversalSteps,

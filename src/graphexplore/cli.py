@@ -166,9 +166,6 @@ def _cmd_gen(args) -> int:
             "m": built.graph.edge_count,
             "start": built.start,
             "genus": built.genus,
-            "tie_break_script": (
-                list(built.tie_break_script) if built.tie_break_script else None
-            ),
             "graph": graph_to_text(built.graph),
         }
         text = json.dumps(doc, indent=2) + "\n"

@@ -76,10 +76,6 @@ class Graph:
         self._adj = tuple(tuple(a) for a in adj)
 
     @property
-    def vertex_count(self) -> int:
-        return self.n
-
-    @property
     def edge_count(self) -> int:
         return len(self._edges)
 
@@ -96,10 +92,6 @@ class Graph:
     @property
     def weights(self) -> tuple[Fraction, ...]:
         return self._weights
-
-    def incident(self, u: int):
-        """Edges at u as (edge id, other endpoint) pairs."""
-        return tuple((eid, other) for other, eid, _ in self._adj[u])
 
     def total_weight(self) -> Fraction:
         return Fraction(sum(self._iw), self._scale)

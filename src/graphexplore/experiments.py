@@ -17,13 +17,16 @@ from .core import as_fraction, minimum_spanning_tree, restrict
 from .errors import ParseError
 from .exploration import (
     ExplorationParams,
-    TieBreak,
     run_blocking,
     run_nearest_neighbor,
     taken_union_mst,
 )
 from .instances import BuiltInstance, InstanceSpec, build_instance
 from .oracle import (
+    BRUTE_EXPLORATION_MAX_N,
+    CYCLE_SPACE_MAX_NU,
+    OPTSPAN_MAX_M,
+    TSP_MAX_N,
     brute_force_exploration,
     brute_force_optspan,
     enumerate_cycles_check,
@@ -36,8 +39,6 @@ from .spanner import (
     verify_spanner_minimality,
     verify_spanner_stretch,
 )
-
-_TSP_ROW_MAX_N = 15
 
 EXPLORE_CHECKS = ("cost_chain", "cycle_minimality")
 SPANNER_CHECKS = ("stretch", "minimality", "mst_containment")
@@ -187,12 +188,6 @@ def _ffloat(x) -> str:
     return repr(float(x))
 
 
-def _tie_break_for(built: BuiltInstance) -> TieBreak:
-    if built.tie_break_script is not None:
-        return TieBreak.adversarial(built.tie_break_script)
-    return TieBreak.by_edge_id()
-
-
 def explore_row(built: BuiltInstance, algo: AlgorithmSpec, checks) -> dict:
     """One report row: run `algo` on the built instance and bound-check it."""
     g = built.graph
@@ -202,7 +197,6 @@ def explore_row(built: BuiltInstance, algo: AlgorithmSpec, checks) -> dict:
         params = ExplorationParams(
             delta=delta,
             start=built.start,
-            tie_break=_tie_break_for(built),
             verify_invariants=bool({"cost_chain", "cycle_minimality"} & set(checks)),
         )
         log = run_blocking(g, params)
@@ -213,7 +207,7 @@ def explore_row(built: BuiltInstance, algo: AlgorithmSpec, checks) -> dict:
     bound = competitive_bound(delta, built.genus) if delta is not None else None
     bound_ok = None if (bound is None or ratio is None) else ratio <= bound
     opt = None
-    if g.n <= _TSP_ROW_MAX_N:
+    if g.n <= TSP_MAX_N:
         opt = exact_tsp(g, built.start).cost
     checks_ok = True
     failed = []
@@ -317,10 +311,7 @@ def verify_rows(built: BuiltInstance, config: ExperimentConfig) -> list[dict]:
         if algo.name != "blocking":
             continue
         delta = resolve_delta(algo.delta, g.n)
-        params = ExplorationParams(
-            delta=delta, start=built.start, tie_break=_tie_break_for(built)
-        )
-        log = run_blocking(g, params)
+        log = run_blocking(g, ExplorationParams(delta=delta, start=built.start))
         chain = log.verification["cost_chain"]
         rows.append(row("cost_chain", delta, chain["ok"]))
         cyc = log.verification["cycle_minimality"]
@@ -334,16 +325,16 @@ def verify_rows(built: BuiltInstance, config: ExperimentConfig) -> list[dict]:
         s_edges = taken_union_mst(g, log)
         sub, _ = restrict(g, s_edges)
         nu = sub.edge_count - sub.n + 1
-        if nu <= 12:
+        if nu <= CYCLE_SPACE_MAX_NU:
             rep = enumerate_cycles_check(sub, 1 + delta)
             rows.append(
                 row("cycle_enumeration_agreement", delta,
                     rep.ok == cyc["ok"] and rep.ok,
                     f"cycles={rep.cycles_checked}")
             )
-    if g.n <= _TSP_ROW_MAX_N:
+    if g.n <= TSP_MAX_N:
         t = exact_tsp(g, built.start)
-        if g.n <= 8:
+        if g.n <= BRUTE_EXPLORATION_MAX_N:
             b = brute_force_exploration(g, built.start)
             rows.append(row("tsp_permutation_agreement", None, t.cost == b.cost,
                             f"cost={t.cost}"))
@@ -354,7 +345,7 @@ def verify_rows(built: BuiltInstance, config: ExperimentConfig) -> list[dict]:
         rows.append(row("spanner_stretch", eps, verify_spanner_stretch(g, res.edges, eps).ok))
         rows.append(row("spanner_minimality", eps, verify_spanner_minimality(g, res.edges, eps).ok))
         rows.append(row("spanner_mst_containment", eps, verify_mst_containment(g, res.edges).ok))
-        if g.edge_count <= 20:
+        if g.edge_count <= OPTSPAN_MAX_M:
             best = brute_force_optspan(g, eps)
             rows.append(
                 row("optspan_lower_bounds_greedy", eps, best <= res.lightness,

@@ -12,7 +12,11 @@ e' = (u', v') exists with d(u, v') <= (1+delta) * w(e): a cheaper doorway is
 nearby, so taking e now could be wasteful.  The explorer repeatedly takes an
 unblocked boundary edge that either starts at its current recursion vertex
 or was earlier blocked by an edge ending at that vertex, recursing on every
-newly explored vertex and walking back afterwards.
+newly explored vertex and walking back afterwards.  Candidates compare by
+edge id, the smaller first: the input's edge numbering is the one
+tie-break order, and a caller who wants another renumbers the edges.
+The boundary list out[v] of each explored v stays in id order, so the
+engine scans it as it stands.
 
 The engine only ever reads adjacency of explored vertices.  The state
 counts every adjacency read, and the Dijkstra kernel raises if it is asked
@@ -68,7 +72,6 @@ on B union MST_B.
 from __future__ import annotations
 
 import operator
-import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -96,64 +99,9 @@ from .spanner import MinimalityReport, verify_spanner_minimality
 # parameters
 
 @dataclass(frozen=True)
-class TieBreak:
-    """Preference order used to pick among admissible boundary edges.
-
-    kind "by_edge_id": smaller id wins.  kind "adversarial": a scripted id
-    order, unscripted edges after all scripted ones.  kind "random": a seeded
-    shuffle of the ids, fixed for the whole run.
-    """
-
-    kind: str = "by_edge_id"
-    script: tuple[int, ...] | None = None
-    seed: int | None = None
-
-    @classmethod
-    def by_edge_id(cls) -> "TieBreak":
-        return cls("by_edge_id")
-
-    @classmethod
-    def adversarial(cls, script) -> "TieBreak":
-        return cls("adversarial", script=tuple(int(e) for e in script))
-
-    @classmethod
-    def random(cls, seed: int) -> "TieBreak":
-        return cls("random", seed=int(seed))
-
-    def priorities(self, m: int) -> list[int]:
-        """prio[eid]; candidates are compared by (prio[eid], eid)."""
-        if self.kind == "by_edge_id":
-            return list(range(m))
-        if self.kind == "adversarial":
-            if self.script is None:
-                raise ValueError("adversarial tie-break needs a script")
-            prio = [m + i for i in range(m)]
-            for pos, eid in enumerate(self.script):
-                if not (0 <= eid < m):
-                    raise ValueError(f"scripted edge id {eid} out of range")
-                prio[eid] = pos
-            return prio
-        if self.kind == "random":
-            if self.seed is None:
-                raise ValueError("random tie-break needs a seed")
-            prio = list(range(m))
-            random.Random(self.seed).shuffle(prio)
-            return prio
-        raise ValueError(f"unknown tie-break kind {self.kind!r}")
-
-    def describe(self):
-        if self.kind == "by_edge_id":
-            return "by_edge_id"
-        if self.kind == "adversarial":
-            return {"adversarial": list(self.script or ())}
-        return {"random": self.seed}
-
-
-@dataclass(frozen=True)
 class ExplorationParams:
     delta: Fraction
     start: int = 0
-    tie_break: TieBreak = field(default_factory=TieBreak.by_edge_id)
     verify_invariants: bool = True
 
     def __post_init__(self):
@@ -171,9 +119,12 @@ class ExplorationState:
     Boundary edges live in flat per-edge lists: src[e] is the explored
     endpoint and far[e] the unexplored one (-1 for edges never on the
     boundary); e is on the boundary while far[e] is unexplored.  out[u] and
-    into[v] list the boundary edges at explored u and unexplored v.  For an
-    explored u, inner[u] lists the (neighbour, edge, weight) entries of its
-    explored neighbours, in adjacency order per neighbour: out[u] and
+    into[v] list the boundary edges at explored u and unexplored v.  out[u]
+    is in ascending id order: it is filled in adjacency order, which is id
+    order since Graph builds its adjacency by enumerating its edges, and
+    edges only leave it.  For an explored u, inner[u] lists the
+    (neighbour, edge, weight) entries of its explored neighbours, in
+    adjacency order per neighbour: out[u] and
     inner[u] together are u's adjacency, read once when u was explored.
     adjacency_reads counts those reads and every later one: the Dijkstra
     kernel's expansions and the engine's ball repairs and retraced returns.
@@ -543,24 +494,25 @@ class TraversalSteps(Sequence):
 
     def add_path(self, path, role: str, charged_to: int) -> None:
         """Append the (edge, from, to) triples of path, all of one role and
-        charged to one taken edge."""
+        charged to one taken edge.  Each column is extended in one call."""
         code = _ROLE_CODE.get(role)
         if code is None:
             raise ValueError(f"unknown step role {role!r}")
+        if not path:
+            return
         edge, source, dest = self.edge, self.source, self.dest
         start = len(edge)
         try:
-            for e, a, b in path:
-                edge.append(e)
-                source.append(a)
-                dest.append(b)
-            k = len(edge) - start
-            self.charged_to.extend(array("i", [charged_to]) * k)
+            edges, sources, dests = zip(*path)
+            edge.extend(edges)
+            source.extend(sources)
+            dest.extend(dests)
+            self.charged_to.extend(array("i", [charged_to]) * len(edges))
         except (OverflowError, TypeError, ValueError):
             for col in (edge, source, dest):
                 del col[start:]
             raise
-        self.role.frombytes(bytes([code]) * k)
+        self.role.frombytes(bytes([code]) * len(edges))
 
     def append(self, step) -> None:
         edge, source, dest, role, charged_to = step
@@ -627,7 +579,6 @@ class TraversalLog:
     total_cost: Fraction
     taken_boundary: EdgeSubset
     delta: Fraction | None = None
-    tie_break: TieBreak | None = None
     blocker_records: dict[int, tuple[int, ...]] = field(default_factory=dict)
     verification: dict = field(default_factory=dict)
 
@@ -639,8 +590,6 @@ class TraversalLog:
         params: dict = {"algorithm": self.algorithm, "start": self.start}
         if self.delta is not None:
             params["delta"] = str(self.delta)
-        if self.tie_break is not None:
-            params["tie_break"] = self.tie_break.describe()
         s = self.steps
         return {
             "params": params,
@@ -731,8 +680,6 @@ class _Engine:
         p1, q1 = self.p1, self.q1
         # bnd[e]: the blocking radius (1+delta) w(e), scaled and floored
         self.bnd = [p1 * w // q1 for w in g._iw]
-        # priorities are distinct, so prio alone orders like (prio, id)
-        self.prio = params.tie_break.priorities(g.edge_count)
         n = g.n
         self.balls: list = [None] * n
         self.leaves: list = [None] * n
@@ -890,17 +837,18 @@ class _Engine:
 
         Admissible: not blocked, and either leaving v itself or re-activated
         because v was recorded as a blocker endpoint for it.  Edges leaving v
-        are preferred as a class; within a class the tie-break order decides.
+        are preferred as a class; within a class the smaller edge id wins.
         Builds the balls the current boundary needs first, so that they
-        also serve the lookup of the edge selected.  The edges re-activated
-        at v are stored in tie-break order, so one scan in order, which
-        skips the edges that left the boundary, finds the first admissible.
+        also serve the lookup of the edge selected.  out[v] and the edges
+        re-activated at v are both kept in id order, so one scan of each,
+        which skips the edges that left the boundary, finds the first
+        admissible.
         """
         st = self.state
         mn = st.min_boundary_weight_scaled()
         self._build_balls(mn)
         blocked = self._blocked
-        for eid in sorted(st.out[v], key=self.prio.__getitem__):
+        for eid in st.out[v]:
             if not blocked(eid, mn):
                 return eid
         recs = st.rec_by_witness.get(v)
@@ -922,9 +870,9 @@ class _Engine:
         that the invocation at x can re-activate it (fact 4).  Only an edge
         heavier than minw[x] can be recorded, and its source has a ball,
         built by that select; x is in it when d(u, x) is within the
-        source's radius.  The records feed rec_by_witness only, in
-        tie-break order for the selects at x: x is explored next, so a
-        cache entry for it could never confirm anything.
+        source's radius.  The records feed rec_by_witness only, in id
+        order for the selects at x: x is explored next, so a cache entry
+        for it could never confirm anything.
         """
         held = self.holders[x]
         if not held:
@@ -942,7 +890,7 @@ class _Engine:
                 if d <= bnd[eid] and iw[eid] > wmin and far[eid] != x:
                     found.append(eid)
         if found:
-            found.sort(key=self.prio.__getitem__)
+            found.sort()
             st.rec_by_witness[x] = found
 
     # -- main loop ----------------------------------------------------------
@@ -998,7 +946,6 @@ class _Engine:
             total_cost=Fraction(st.cost, g._scale),
             taken_boundary=EdgeSubset(g, self.taken),
             delta=self.params.delta,
-            tie_break=self.params.tie_break,
             blocker_records=self._blocker_records(),
         )
         log.verification["access_audit"] = {

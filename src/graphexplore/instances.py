@@ -33,20 +33,21 @@ def _rand_weight(rng) -> Fraction:
     return Fraction(_RAND_DENOM + int(rng.integers(0, _RAND_DENOM + 1)), _RAND_DENOM)
 
 
-def gen_comb_lower_bound(k: int, delta) -> tuple[Graph, int, tuple[int, ...]]:
+def gen_comb_lower_bound(k: int, delta) -> Graph:
     """Comb tree that makes the blocking explorer pay for every heavy tooth.
 
     A spine of 2k unit-weight edges' worth of vertices (2k vertices, 2k-1
     edges), a unit leaf on each of the first k spine vertices, and a leaf of
-    weight (k+1)/(delta+1) on each of the last k.  n = 4k.  The heavy teeth
-    sit exactly at the blocking threshold: from the far end of the spine the
-    nearest light leaf is at distance k+1 = (1+delta) * heavy weight, so every
-    heavy tooth stays blocked until the light teeth have all been taken.
+    weight (k+1)/(delta+1) on each of the last k.  n = 4k; the walk starts
+    at vertex 0, the first spine vertex.  The heavy teeth sit exactly at the
+    blocking threshold: from the far end of the spine the nearest light leaf
+    is at distance k+1 = (1+delta) * heavy weight, so every heavy tooth stays
+    blocked until the light teeth have all been taken.
 
-    Returns (graph, start vertex, tie-break script).  The script prefers spine
-    edges over the equal-weight light leaves so a scripted run walks the spine
-    first; edge ids are assigned spine (0..2k-2), light (2k-1..3k-2) and heavy
-    (3k-1..4k-2) to make that order explicit.
+    Edge ids are assigned spine (0..2k-2), light (2k-1..3k-2) and heavy
+    (3k-1..4k-2).  The explorer breaks ties by edge id, so this numbering
+    is the adversarial order: it prefers spine edges over the equal-weight
+    light leaves, and the run walks the spine first.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive int, got {k!r}")
@@ -68,9 +69,7 @@ def gen_comb_lower_bound(k: int, delta) -> tuple[Graph, int, tuple[int, ...]]:
         edges.append((i, 2 * k + i, Fraction(1)))
     for i in range(k):
         edges.append((k + i, 3 * k + i, heavy))
-    g = Graph(4 * k, edges)
-    script = tuple(range(g.edge_count))
-    return g, 0, script
+    return Graph(4 * k, edges)
 
 
 def _delaunay_edges(pts) -> set[tuple[int, int]] | None:
@@ -507,7 +506,6 @@ class BuiltInstance:
     graph: Graph
     start: int
     spec: InstanceSpec
-    tie_break_script: tuple[int, ...] | None = None
     genus: int | None = None  # None = unknown
 
     @property
@@ -520,8 +518,8 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     fam = spec.family
     p = spec.params
     if fam == "comb_lower_bound":
-        g, start, script = gen_comb_lower_bound(int(p["k"]), as_fraction(p["delta"]))
-        return BuiltInstance(g, start, spec, tie_break_script=script, genus=0)
+        g = gen_comb_lower_bound(int(p["k"]), as_fraction(p["delta"]))
+        return BuiltInstance(g, 0, spec, genus=0)
     if fam == "random_planar":
         g = gen_random_planar(int(p["points"]), spec.seed)
         return BuiltInstance(g, 0, spec, genus=0)

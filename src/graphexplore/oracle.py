@@ -28,10 +28,11 @@ from .core import (
 from .errors import ResourceGuardError
 from .exploration import APPROACH, RETURN, TAKE, TraversalLog, TraversalStep
 
-_TSP_MAX_N = 15
-_REFERENCE_MAX_N = 16
-_OPTSPAN_MAX_M = 20
-_CYCLE_SPACE_MAX_NU = 12
+TSP_MAX_N = 15
+REFERENCE_MAX_N = 16
+OPTSPAN_MAX_M = 20
+CYCLE_SPACE_MAX_NU = 12
+BRUTE_EXPLORATION_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,8 @@ def exact_tsp(g: Graph, start: int = 0) -> TourResult:
     """
     require_connected(g, "exact_tsp")
     n = g.n
-    if n > _TSP_MAX_N:
-        raise ResourceGuardError(f"exact_tsp guarded to n <= {_TSP_MAX_N} (got {n})")
+    if n > TSP_MAX_N:
+        raise ResourceGuardError(f"exact_tsp guarded to n <= {TSP_MAX_N} (got {n})")
     if not (0 <= start < n):
         raise ValueError(f"start {start} out of range")
     if n == 1:
@@ -148,9 +149,9 @@ def brute_force_optspan_edges(g: Graph, epsilon, forced_edges=()) -> EdgeSubset:
         raise ValueError(f"epsilon must be positive, got {eps}")
     require_connected(g, "brute_force_optspan")
     m = g.edge_count
-    if m > _OPTSPAN_MAX_M:
+    if m > OPTSPAN_MAX_M:
         raise ResourceGuardError(
-            f"brute_force_optspan guarded to m <= {_OPTSPAN_MAX_M} (got {m})"
+            f"brute_force_optspan guarded to m <= {OPTSPAN_MAX_M} (got {m})"
         )
     one_plus = 1 + eps
     p, q = one_plus.numerator, one_plus.denominator
@@ -220,7 +221,7 @@ class CycleCheckReport:
     violations: list
 
 
-def enumerate_cycles_check(g: Graph, bound, edge_ids=None) -> CycleCheckReport:
+def enumerate_cycles_check(g: Graph, bound) -> CycleCheckReport:
     """Heaviest edge on every simple cycle must exceed its detour allowance.
 
     `bound` is the full detour multiplier (1+delta for exploration checks,
@@ -229,8 +230,7 @@ def enumerate_cycles_check(g: Graph, bound, edge_ids=None) -> CycleCheckReport:
     keeps the simple cycles (every degree 0 or 2, one connected piece), and
     flags a cycle whenever its weight minus its heaviest edge e is at most
     bound * w(e): the rest of the cycle is then a cheap detour around e.
-    With edge_ids, only cycles whose heaviest edge lies in that set are
-    examined.  Guarded to nu <= 12.
+    Guarded to nu <= 12.
     """
     b = as_fraction(bound)
     if b < 1:
@@ -238,12 +238,11 @@ def enumerate_cycles_check(g: Graph, bound, edge_ids=None) -> CycleCheckReport:
     require_connected(g, "enumerate_cycles_check")
     m = g.edge_count
     nu = m - g.n + 1
-    if nu > _CYCLE_SPACE_MAX_NU:
+    if nu > CYCLE_SPACE_MAX_NU:
         raise ResourceGuardError(
             f"enumerate_cycles_check guarded to cyclomatic number <= "
-            f"{_CYCLE_SPACE_MAX_NU} (got {nu})"
+            f"{CYCLE_SPACE_MAX_NU} (got {nu})"
         )
-    watch = None if edge_ids is None else frozenset(edge_ids)
     tree = minimum_spanning_tree(g)
     non_tree = sorted(set(range(m)) - tree.ids)
     fund = []
@@ -293,8 +292,6 @@ def enumerate_cycles_check(g: Graph, bound, edge_ids=None) -> CycleCheckReport:
         if len(seen) != len(deg):
             continue
         heaviest = max(edges, key=lambda e: (iw[e], e))
-        if watch is not None and heaviest not in watch:
-            continue
         checked += 1
         rest = sum(iw[e] for e in edges) - iw[heaviest]
         # violation: the cycle minus its heaviest edge is within the detour
@@ -319,8 +316,10 @@ def brute_force_exploration(g: Graph, start: int = 0) -> TourResult:
     """
     require_connected(g, "brute_force_exploration")
     n = g.n
-    if n > 8:
-        raise ResourceGuardError(f"brute_force_exploration guarded to n <= 8 (got {n})")
+    if n > BRUTE_EXPLORATION_MAX_N:
+        raise ResourceGuardError(
+            f"brute_force_exploration guarded to n <= {BRUTE_EXPLORATION_MAX_N} (got {n})"
+        )
     if not (0 <= start < n):
         raise ValueError(f"start {start} out of range")
     dmat = _metric_closure(g)
@@ -349,23 +348,20 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
     a plain Dijkstra over explored-to-explored edges plus the cheapest edge
     from an explored vertex into x.  Just before x is explored, x is
     recorded against every boundary edge it blocks, and those records alone
-    re-activate edges at x.  Walks are shortest paths over explored-to-
-    explored edges, with the (distance, id) settling order and
-    first-improvement parents that the engine uses.  Guarded to n <= 16.
+    re-activate edges at x.  Within each class of candidates the smaller
+    edge id wins.  Walks are shortest paths over explored-to-explored
+    edges, with the (distance, id) settling order and first-improvement
+    parents that the engine uses.  Guarded to n <= 16.
     """
     require_connected(g, "reference_blocking")
-    if g.n > _REFERENCE_MAX_N:
-        raise ResourceGuardError(f"reference_blocking guarded to n <= {_REFERENCE_MAX_N} (got {g.n})")
+    if g.n > REFERENCE_MAX_N:
+        raise ResourceGuardError(f"reference_blocking guarded to n <= {REFERENCE_MAX_N} (got {g.n})")
     explored = [False] * g.n
     explored[params.start] = True
-    prio = params.tie_break.priorities(g.edge_count)
     one_plus = 1 + params.delta
     records: dict[int, set[int]] = {}
     steps: list[TraversalStep] = []
     taken: list[int] = []
-
-    def order(e):
-        return prio[e], e
 
     def inside(e):
         a, b = g.edges[e]
@@ -393,8 +389,8 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
 
     def select(v):
         bnd = boundary()
-        class1 = sorted((e for e, u, _ in bnd if u == v), key=order)
-        class2 = sorted((e for e, u, _ in bnd if u != v and v in records.get(e, ())), key=order)
+        class1 = sorted(e for e, u, _ in bnd if u == v)
+        class2 = sorted(e for e, u, _ in bnd if u != v and v in records.get(e, ()))
         src = {e: u for e, u, _ in bnd}
         for e in class1 + class2:
             if not any(blocks(bnd, x2, e, src[e]) for _, _, x2 in bnd):
@@ -440,6 +436,5 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
         total_cost=sum((g.weight(s.edge) for s in steps), Fraction(0)),
         taken_boundary=EdgeSubset(g, taken),
         delta=params.delta,
-        tie_break=params.tie_break,
         blocker_records={e: tuple(sorted(s)) for e, s in records.items()},
     )

@@ -20,7 +20,6 @@ from graphexplore.errors import OnlinePurityError
 from graphexplore.experiments import dyadic_log2
 from graphexplore.exploration import (
     ExplorationParams,
-    TieBreak,
     run_blocking,
     taken_union_mst,
     verify_blocking_cycle_property,
@@ -106,17 +105,10 @@ def campaign() -> CampaignResult:
         built = build_instance(spec)
         g = built.graph
         out.families.add(spec.family)
-        tie = (
-            TieBreak.adversarial(built.tie_break_script)
-            if built.tie_break_script is not None
-            else TieBreak.by_edge_id()
-        )
         for delta in CAMPAIGN_DELTAS:
             out.runs += 1
             tag = f"{spec.label} delta={delta}"
-            params = ExplorationParams(
-                delta=delta, start=built.start, tie_break=tie, verify_invariants=False
-            )
+            params = ExplorationParams(delta=delta, start=built.start, verify_invariants=False)
             try:
                 log = run_blocking(g, params)
             except OnlinePurityError as exc:
@@ -195,12 +187,7 @@ def test_01_comb_adversarial_cost_floor():
         built = build_instance(InstanceSpec("comb_lower_bound", {"k": k, "delta": "3"}))
         log = run_blocking(
             built.graph,
-            ExplorationParams(
-                delta=delta,
-                start=built.start,
-                tie_break=TieBreak.adversarial(built.tie_break_script),
-                verify_invariants=False,
-            ),
+            ExplorationParams(delta=delta, start=built.start, verify_invariants=False),
         )
         if k == 25:
             assert log.total_cost >= 25 * 25

@@ -38,18 +38,19 @@ DATA = Path(__file__).parent / "data"
 class TestComb:
     def test_shape_and_weights(self):
         k, d = 25, Fraction(3)
-        g, start, script = gen_comb_lower_bound(k, d)
+        g = gen_comb_lower_bound(k, d)
         assert g.n == 4 * k and g.edge_count == 4 * k - 1
-        assert start == 0
         h = Fraction(k + 1, 4)
         # spine and light teeth are unit, heavy teeth weigh (k+1)/(delta+1)
         assert all(g.weight(e) == 1 for e in range(3 * k - 1))
         assert all(g.weight(e) == h for e in range(3 * k - 1, 4 * k - 1))
         assert g.total_weight() == 3 * k - 1 + k * h
-        assert script == tuple(range(g.edge_count))
+        # spine first, so ties in edge-id order walk the spine first
+        assert all(g.endpoints(e) == (e, e + 1) for e in range(2 * k - 1))
+        assert build_instance(InstanceSpec("comb_lower_bound", {"k": k, "delta": "3"})).start == 0
 
     def test_is_a_tree(self):
-        g, _, _ = gen_comb_lower_bound(6, Fraction(1, 2))
+        g = gen_comb_lower_bound(6, Fraction(1, 2))
         assert g.edge_count == g.n - 1 and is_connected(g)
 
     def test_degenerate_warns(self):

@@ -349,13 +349,6 @@ class TestCycleEnumeration:
         rep = enumerate_cycles_check(g, Fraction(3, 2))
         assert rep.cycles_checked == 2
 
-    def test_watch_list_filters_by_heaviest(self):
-        g = unit_square()
-        rep = enumerate_cycles_check(g, 3, edge_ids={0})
-        assert rep.ok and rep.cycles_checked == 0
-        rep = enumerate_cycles_check(g, 3, edge_ids={3})
-        assert not rep.ok and rep.cycles_checked == 1
-
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             enumerate_cycles_check(unit_square(), Fraction(1, 2))

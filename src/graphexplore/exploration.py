@@ -42,9 +42,9 @@ Five exact facts let the engine skip work without changing any decision:
    valid, stays valid while e is on the boundary and v' is unexplored.
    The lookup over the balls holding v', run just before v' is explored,
    therefore finds every pair that can re-activate e at v', and it alone
-   writes the re-activation records.  A witness a blocked check finds is
-   only a cache entry: it proves "blocked" until it is explored, so which
-   check finds a witness, and when, changes no decision.
+   writes the re-activation records.  A blocked check only files e under a
+   witness it finds: that proves "blocked" until the witness is explored,
+   so which check finds a witness, and when, changes no decision.
 5. An approach walk heads for the source y of an edge recorded at the
    current vertex.  That edge is still on the boundary, so y's ball holds
    the exact distance to y of every vertex on a shortest path, and a
@@ -56,11 +56,12 @@ Five exact facts let the engine skip work without changing any decision:
    shortest path, the way back is v's first lightest edge to y and then
    the approach reversed: the path a search from v finds.
 
-One Dijkstra kernel builds the balls and serves every walk.  It pushes only
-explored vertices onto its heap and keeps tentative distances of unexplored
-leaves in a dict: a path may end at a leaf but never passes through one.
-The ball repair is the only other search loop; like the kernel, it expands
-explored vertices only and counts every expansion as an adjacency read.
+One grow loop builds and repairs the balls.  One Dijkstra kernel serves
+the walks, the nearest-neighbour baseline and is_blocked's ball.  It
+pushes only explored vertices onto its heap and keeps tentative distances
+of unexplored leaves in a dict: a path may end at a leaf but never passes
+through one.  Both loops expand explored vertices only and count every
+expansion as an adjacency read.
 
 Two verifiers check a finished run.  verify_cost_chain charges every step
 to a taken edge and bounds the charges.  verify_blocking_cycle_property
@@ -127,12 +128,11 @@ class ExplorationState:
     adjacency order per neighbour: out[u] and
     inner[u] together are u's adjacency, read once when u was explored.
     adjacency_reads counts those reads and every later one: the Dijkstra
-    kernel's expansions and the engine's ball repairs and retraced returns.
+    kernel's expansions and the engine's ball searches and retraced returns.
 
     rec_by_witness[v'] lists the boundary edges that v' blocked just before
     v' was explored (the ball lookup); the invocation started at v'
-    re-activates them (fact 4 of the module docstring).  _active_wit[e] is
-    the witness cache: the witnesses the last blocked check of e found.
+    re-activates them (fact 4 of the module docstring).
     """
 
     def __init__(self, g: Graph, position: int):
@@ -147,7 +147,6 @@ class ExplorationState:
         self.inner: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self.minw: list[int | None] = [None] * n
         self.rec_by_witness: dict[int, list[int]] = {}
-        self._active_wit: dict[int, list[int]] = {}
         self._minw_heap: list[tuple[int, int]] = []
         self.position = position
         self.cost = 0  # scaled
@@ -223,28 +222,6 @@ class ExplorationState:
                 return w
             heappop(heap)
         return None
-
-    def has_valid_witness(self, eid: int) -> bool:
-        """Re-confirm blocking from a cached witness.
-
-        A cached pair's distance clause can only get easier to satisfy over
-        time (the explored set grows, distances shrink), and minw of its
-        witness can only fall (fact 1), so a cached witness that is still
-        unexplored proves e is blocked right now without any distance work.
-        An explored witness never becomes valid again, so the explored
-        entries scanned past are dropped from the cache.
-        """
-        lst = self._active_wit.get(eid)
-        if not lst:
-            return False
-        explored = self.explored
-        for i, v in enumerate(lst):
-            if not explored[v]:
-                if i:
-                    del lst[:i]
-                return True
-        lst.clear()
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +546,8 @@ class TraversalLog:
     vertices v' that blocked e just before v' was explored while e stayed
     on the boundary.  The engine writes them from a lookup over the balls
     holding v' (fact 4 of the module docstring); they depend on the
-    definition alone, not on which balls were built or when the witness
-    cache short-cut a check.
+    definition alone, not on which balls were built or which checks the
+    witness index spared.
     """
 
     algorithm: str
@@ -660,13 +637,19 @@ def _walk(state: ExplorationState, steps: TraversalSteps, to: int, role: str, ch
 class _Engine:
     """The blocking explorer over one state, with a ball per heavy source.
 
-    balls[u], leaves[u] and radius[u] are the ball of explored u (see _ball
-    and fact 3 of the module docstring), or None while u has none.
-    holders[v] lists the sources whose ball holds the unexplored v as a
-    leaf; a dropped ball's entries are skipped where they are read.
+    balls[u], leaves[u] and radius[u] are the ball of explored u (fact 3 of
+    the module docstring; _grow builds and repairs it), or None while u has
+    none.  holders[v] lists the sources whose ball holds the unexplored v as
+    a leaf; a dropped ball's entries are skipped where they are read.
     _unbuilt is a max-heap of the sources still without a ball, by u's
     heaviest boundary weight w when pushed, as the int key -w * n + u; a
     key only overstates w, since u's boundary edges only leave.
+
+    known[e] is set while boundary edge e is known to be blocked (fact 4):
+    wit[e] lists the witnesses its last blocked check found, from the first
+    still unexplored, and filed[x] lists the edges whose first unexplored
+    witness is x.  Exploring x moves each of them on to its next unexplored
+    witness, or clears its flag when none is left.
     """
 
     def __init__(self, g: Graph, params: ExplorationParams):
@@ -686,6 +669,9 @@ class _Engine:
         self.radius = [0] * n
         self.holders: list = [[] for _ in range(n)]
         self._unbuilt: list[int] = []
+        self.known = bytearray(g.edge_count)
+        self.wit: dict[int, list[int]] = {}
+        self.filed: dict[int, list[int]] = {}
         self.state = ExplorationState.initial(g, params.start)
         self._queue(params.start)
         self.steps = TraversalSteps()
@@ -701,7 +687,8 @@ class _Engine:
 
     def _build_balls(self, mn) -> None:
         """Build the ball of every source whose heaviest boundary edge is
-        heavier than mn, the lightest boundary weight."""
+        heavier than mn, the lightest boundary weight: a grow from the
+        source, at distance 0, on an empty ball."""
         if mn is None:
             return
         heap = self._unbuilt
@@ -718,20 +705,20 @@ class _Engine:
                 heappush(heap, -w * n + u)
                 continue
             radius = self.p1 * w // self.q1
-            dist, leaves = _ball(self.state, u, radius)
-            self.balls[u], self.leaves[u], self.radius[u] = dist, leaves, radius
-            holders = self.holders
-            for v in leaves:
-                holders[v].append(u)
+            dist = array("q", [-1]) * n if radius < 2**63 else [-1] * n
+            dist[u] = 0
+            self.balls[u], self.leaves[u], self.radius[u] = dist, [], radius
+            self._grow(u, (u,))
 
     def _explore(self, z: int) -> None:
-        """Mark z explored and bring every ball up to date (fact 3).
+        """Mark z explored and bring every ball and the index up to date.
 
         The sources that lose their edges into z shrink their radius, or
         drop their ball with their last boundary edge.  Every ball that held
-        z is repaired from z, unless z is a dead end: with no boundary edge
-        and one explored neighbour, no path can pass through it.  z's own
-        ball waits in _unbuilt.
+        z is repaired from z (fact 3), unless z is a dead end: with no
+        boundary edge and one explored neighbour, no path can pass through
+        it.  The edges filed under z move on (see _Engine).  z's own ball
+        waits in _unbuilt.
         """
         st = self.state
         lost = st.into[z]  # mark_explored gives z a new, empty list
@@ -745,24 +732,38 @@ class _Engine:
                 self.radius[u] = max(map(bnd.__getitem__, out[u]))
             else:
                 balls[u] = self.leaves[u] = None
+        explored, wit, filed = st.explored, self.wit, self.filed
+        for eid in filed.pop(z, ()):
+            lst = wit[eid]
+            for i, x in enumerate(lst):
+                if not explored[x]:
+                    del lst[:i]
+                    filed.setdefault(x, []).append(eid)
+                    break
+            else:
+                del wit[eid]
+                self.known[eid] = 0
         held = self.holders[z]
         self.holders[z] = None
         if held:
             inner = st.inner[z]
             if out[z] or any(y != inner[0][0] for y, _, _ in inner):
-                self._repair(z, held)
+                self._grow(z, held)
         self._queue(z)
 
-    def _repair(self, z: int, held: list[int]) -> None:
-        """Decrease-only searches from z, just explored, of the balls in held.
+    def _grow(self, z: int, held) -> None:
+        """Decrease-only searches from explored z of the balls in held.
 
-        In each ball z keeps its leaf distance, now as an explored vertex; a
-        vertex is expanded only when its distance fell, and nothing beyond
-        the ball's radius enters it.  Every expansion counts one adjacency
-        read, and an unexplored vertex is never expanded.
+        The engine's one ball search.  A new ball grows from its source;
+        a ball that held z, just explored, is repaired from z, which keeps
+        its leaf distance as an explored vertex.  A vertex is expanded only
+        when its distance fell, and its row of the adjacency is read once:
+        an explored neighbour is pushed, an unexplored one is a leaf.
+        Nothing beyond the ball's radius enters it.  Every expansion counts
+        one adjacency read, and an unexplored vertex is never expanded.
         """
         st = self.state
-        explored, inner, out, far, iw = st.explored, st.inner, st.out, st.far, self.g._iw
+        explored, adj = st.explored, self.g._adj
         balls, radii, leaves_of, holders = self.balls, self.radius, self.leaves, self.holders
         n = len(explored)
         reads = 0
@@ -782,24 +783,21 @@ class _Engine:
                     st.adjacency_reads += reads
                     raise OnlinePurityError(f"adjacency of unexplored vertex {y} requested")
                 reads += 1
-                for other, _, w in inner[y]:
+                for other, _, w in adj[y]:
                     nd = d + w
-                    if nd <= radius:
-                        old = dist[other]
+                    if nd > radius:
+                        continue
+                    old = dist[other]
+                    if explored[other]:
                         if old < 0 or nd < old:
                             dist[other] = nd
                             heappush(heap, nd * n + other)
-                for eid in out[y]:
-                    nd = d + iw[eid]
-                    if nd <= radius:
-                        other = far[eid]
-                        old = dist[other]
-                        if old < 0:
-                            leaves.append(other)
-                            holders[other].append(u)
-                            dist[other] = nd
-                        elif nd < old:
-                            dist[other] = nd
+                    elif old < 0:
+                        leaves.append(other)
+                        holders[other].append(u)
+                        dist[other] = nd
+                    elif nd < old:
+                        dist[other] = nd
                 # next, the nearest vertex whose distance fell; an entry
                 # whose vertex fell again after its push is stale
                 while heap:
@@ -814,23 +812,25 @@ class _Engine:
     # -- blocking checks ----------------------------------------------------
 
     def _blocked(self, eid: int, mn) -> bool:
-        """Is boundary edge eid blocked?  mn is the lightest boundary weight.
+        """Is boundary edge eid, not known to be blocked, blocked now?
 
-        Cheap verdicts first: nothing on the boundary is lighter, or a
-        cached witness that is still unexplored proves "blocked" with no
-        distance work.  Otherwise the blocking predicate runs over the ball
-        of eid's source, which exists since eid is heavier than mn, and the
-        witnesses it finds become the edge's cache.
+        mn is the lightest boundary weight: if nothing is lighter than eid,
+        it is not.  Otherwise the blocking predicate runs over the ball of
+        eid's source, which exists since eid is heavier than mn.  If it
+        finds witnesses, eid is known to be blocked and is filed under the
+        first (see _Engine).
         """
-        st = self.state
         if mn is None or mn >= self.g._iw[eid]:
             return False
-        if st.has_valid_witness(eid):
-            return True
+        st = self.state
         u = st.src[eid]
         blockers = _blocking_witnesses(st, self.balls[u], self.leaves[u], eid, self.bnd[eid])
-        st._active_wit[eid] = blockers
-        return bool(blockers)
+        if not blockers:
+            return False
+        self.known[eid] = 1
+        self.wit[eid] = blockers
+        self.filed.setdefault(blockers[0], []).append(eid)
+        return True
 
     def _select(self, v: int):
         """First admissible boundary edge at the invocation vertex v, or None.
@@ -841,21 +841,21 @@ class _Engine:
         Builds the balls the current boundary needs first, so that they
         also serve the lookup of the edge selected.  out[v] and the edges
         re-activated at v are both kept in id order, so one scan of each,
-        which skips the edges that left the boundary, finds the first
-        admissible.
+        which skips the edges that left the boundary and, by a byte test,
+        the edges known to be blocked, finds the first admissible.
         """
         st = self.state
         mn = st.min_boundary_weight_scaled()
         self._build_balls(mn)
-        blocked = self._blocked
+        blocked, known = self._blocked, self.known
         for eid in st.out[v]:
-            if not blocked(eid, mn):
+            if not known[eid] and not blocked(eid, mn):
                 return eid
         recs = st.rec_by_witness.get(v)
         if recs:
             src, far, explored = st.src, st.far, st.explored
             for eid in recs:
-                if not explored[far[eid]] and src[eid] != v and not blocked(eid, mn):
+                if not known[eid] and not explored[far[eid]] and src[eid] != v and not blocked(eid, mn):
                     return eid
         return None
 
@@ -871,8 +871,8 @@ class _Engine:
         heavier than minw[x] can be recorded, and its source has a ball,
         built by that select; x is in it when d(u, x) is within the
         source's radius.  The records feed rec_by_witness only, in id
-        order for the selects at x: x is explored next, so a cache entry
-        for it could never confirm anything.
+        order for the selects at x: x is explored next, so filing an edge
+        under it could never spare a check.
         """
         held = self.holders[x]
         if not held:

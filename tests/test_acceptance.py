@@ -9,6 +9,7 @@ and toroidal pools feed four.
 import random
 import statistics
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -16,7 +17,7 @@ from math import isqrt
 import pytest
 
 from graphexplore.core import minimum_spanning_tree, restrict
-from graphexplore.errors import OnlinePurityError
+from graphexplore.errors import DegenerateCombWarning, OnlinePurityError
 from graphexplore.experiments import dyadic_log2
 from graphexplore.exploration import (
     ExplorationParams,
@@ -102,7 +103,11 @@ def campaign() -> CampaignResult:
     out = CampaignResult()
     t0 = time.monotonic()
     for spec in campaign_specs():
-        built = build_instance(spec)
+        # the smallest combs are degenerate on purpose (nothing to block)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            built = build_instance(spec)
+        assert all(issubclass(w.category, DegenerateCombWarning) for w in caught), caught
         g = built.graph
         out.families.add(spec.family)
         for delta in CAMPAIGN_DELTAS:

@@ -60,7 +60,9 @@ One grow loop builds and repairs the balls.  One Dijkstra kernel serves
 the walks, the nearest-neighbour baseline and is_blocked's ball.  It
 pushes only explored vertices onto its heap and keeps tentative distances
 of unexplored leaves in a dict: a path may end at a leaf but never passes
-through one.  Both loops expand explored vertices only and count every
+through one.  Both loops read the graph's own adjacency rows, the one
+form of the explored graph, and tell an explored neighbour from a leaf by
+the explored flag.  They expand explored vertices only and count every
 expansion as an adjacency read.
 
 Two verifiers check a finished run.  verify_cost_chain charges every step
@@ -115,24 +117,20 @@ class ExplorationParams:
 # exploration state
 
 class ExplorationState:
-    """Explored set, oriented boundary, and blocking bookkeeping.
+    """Explored set, oriented boundary, walker position and cost, and the
+    kernel's scratch arrays.
 
     Boundary edges live in flat per-edge lists: src[e] is the explored
     endpoint and far[e] the unexplored one (-1 for edges never on the
-    boundary); e is on the boundary while far[e] is unexplored.  out[u] and
-    into[v] list the boundary edges at explored u and unexplored v.  out[u]
-    is in ascending id order: it is filled in adjacency order, which is id
-    order since Graph builds its adjacency by enumerating its edges, and
-    edges only leave it.  For an explored u, inner[u] lists the
-    (neighbour, edge, weight) entries of its explored neighbours, in
-    adjacency order per neighbour: out[u] and
-    inner[u] together are u's adjacency, read once when u was explored.
-    adjacency_reads counts those reads and every later one: the Dijkstra
-    kernel's expansions and the engine's ball searches and retraced returns.
-
-    rec_by_witness[v'] lists the boundary edges that v' blocked just before
-    v' was explored (the ball lookup); the invocation started at v'
-    re-activates them (fact 4 of the module docstring).
+    boundary); e is on the boundary while far[e] is unexplored.  out[u]
+    lists the boundary edges at explored u, in ascending id order: it is
+    filled in adjacency order, which is id order since Graph builds its
+    adjacency by enumerating its edges, and edges only leave it.  minw[v]
+    is the lightest boundary edge into unexplored v.  The explored graph
+    itself is g._adj read with the explored flags: mark_explored reads v's
+    row once, and adjacency_reads counts that read and every later one:
+    the Dijkstra kernel's expansions and the engine's ball searches and
+    retraced returns.
     """
 
     def __init__(self, g: Graph, position: int):
@@ -143,10 +141,7 @@ class ExplorationState:
         self.src = [-1] * m
         self.far = [-1] * m
         self.out: list[list[int]] = [[] for _ in range(n)]
-        self.into: list[list[int]] = [[] for _ in range(n)]
-        self.inner: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self.minw: list[int | None] = [None] * n
-        self.rec_by_witness: dict[int, list[int]] = {}
         self._minw_heap: list[tuple[int, int]] = []
         self.position = position
         self.cost = 0  # scaled
@@ -187,23 +182,16 @@ class ExplorationState:
         self.explored_count += 1
         self.adjacency_reads += 1
         # edges into v stop being boundary; edges to unexplored vertices start
-        src, out, into, minw = self.src, self.out, self.into, self.minw
-        for eid in into[v]:
-            out[src[eid]].remove(eid)
-        into[v] = []
+        src, far, out, minw = self.src, self.far, self.out, self.minw
         minw[v] = None
-        far, inner = self.far, self.inner
         mine = out[v]
-        for entry in self.g._adj[v]:
-            other, eid, w = entry
+        for other, eid, w in self.g._adj[v]:
             if explored[other]:
-                inner[v].append(entry)
-                inner[other].append((v, eid, w))
+                out[other].remove(eid)
             else:
                 src[eid] = v
                 far[eid] = other
                 mine.append(eid)
-                into[other].append(eid)
                 m = minw[other]
                 if m is None or w < m:
                     minw[other] = w
@@ -229,42 +217,43 @@ class ExplorationState:
 
 def _dijkstra_explored(
     state: ExplorationState,
-    seeds,
+    source: int,
     radius=None,
     target=-1,
-    parents=False,
     stop_leaf=False,
     want_leaves=False,
     guide=None,
 ):
-    """Dijkstra whose paths pass through explored vertices only.
+    """Dijkstra from one explored source whose paths pass through explored
+    vertices only.
 
-    seeds: (scaled distance, explored vertex) pairs.  Only explored vertices
-    enter the heap, relaxed over state.inner; an unexplored neighbour, found
-    over state.out, is a leaf whose tentative distance lives in the returned
-    dict (with want_leaves or stop_leaf) and is never expanded.  Returns
-    (settled, leaves): settled lists the explored vertices in settling order,
-    their exact distances in state._dj_dist under this call's stamp.
+    Each expanded vertex's adjacency row is read once: an explored
+    neighbour is relaxed, and an unexplored one is a leaf whose tentative
+    distance lives in the returned dict (with want_leaves or stop_leaf) and
+    is never expanded.  Returns (settled, leaves): settled lists the
+    explored vertices in settling order, their exact distances in
+    state._dj_dist under this call's stamp.  Parents are always recorded in
+    state._dj_pare: the first edge that improved a vertex, for _path_to.
 
     Vertices settle in (distance, id) order.  The search stops before
     settling a vertex beyond `radius`, after settling `target` (which is then
     not expanded), or, with stop_leaf, once the nearest leaf would settle
     before the next explored vertex.  Leaf distances up to the stopping
     point are then exact.  Every expansion counts one adjacency read; an
-    unexplored vertex is never expanded, and a seed at one raises
+    unexplored vertex is never expanded, and an unexplored source raises
     OnlinePurityError.
 
-    guide, with one seed s and a target, holds exact distances to the
-    target (a ball of it): D = guide[s] is the distance to cover, and x is
-    relaxed only when guide[x] >= 0 and d + w + guide[x] <= D.  That is A*
-    with an exact heuristic: only vertices on shortest paths are pushed,
-    each once and at its exact distance, and they settle in the same
-    (distance, id) order with the same first-improvement parents as
-    without the guide (a guided search always records parents).  The
-    search then runs on past the target, still without expanding it, so
-    that every shortest path is relaxed: state._dj_tie tells whether some
-    relaxation reached an already stamped or settled vertex, a second
-    shortest path to it.  A guide without s raises InvariantViolation.
+    guide, with a target, holds exact distances to the target (a ball of
+    it): D = guide[source] is the distance to cover, and an explored x is
+    relaxed only when guide[x] >= 0 and d + w + guide[x] <= D; leaves are
+    skipped.  That is A* with an exact heuristic: only vertices on shortest
+    paths are pushed, each once and at its exact distance, and they settle
+    in the same (distance, id) order with the same first-improvement
+    parents as without the guide.  The search then runs on past the
+    target, still without expanding it, so that every shortest path is
+    relaxed: state._dj_tie tells whether some relaxation reached an already
+    stamped or settled vertex, a second shortest path to it.  A guide
+    without the source raises InvariantViolation.
     """
     state._gen += 1
     gen = state._gen
@@ -272,24 +261,18 @@ def _dijkstra_explored(
     stamp = state._dj_stamp
     dist = state._dj_dist
     pare = state._dj_pare
-    explored = state.explored
-    inner, out, far, iw = state.inner, state.out, state.far, state.g._iw
+    explored, adj = state.explored, state.g._adj
     # heap keys encode (d, u) as d * n + u: one int compares like the pair
     n = len(explored)
-    heap = []
-    for d0, s in seeds:
-        if stamp[s] != gen or d0 < dist[s]:
-            stamp[s] = gen
-            dist[s] = d0
-            if parents:
-                pare[s] = -1
-            heappush(heap, d0 * n + s)
+    stamp[source] = gen
+    dist[source] = 0
+    pare[source] = -1
+    heap = [source]
     if guide is not None:
-        ((_, start),) = seeds
-        budget = guide[start]
+        budget = guide[source]
         if budget < 0:
             raise InvariantViolation(
-                "approach-guide", witness=(start, target), detail="the guiding ball lacks the start"
+                "approach-guide", witness=(source, target), detail="the guiding ball lacks the start"
             )
     want_leaves = want_leaves or stop_leaf
     # no key at or beyond `cut` is settled
@@ -317,7 +300,9 @@ def _dijkstra_explored(
         reads += 1
         d = key // n
         if guide is not None:
-            for other, eid, w in inner[u]:
+            for other, eid, w in adj[u]:
+                if not explored[other]:
+                    continue
                 h = guide[other]
                 nd = d + w
                 if h < 0 or nd + h > budget:
@@ -331,31 +316,27 @@ def _dijkstra_explored(
                 pare[other] = eid
                 heappush(heap, nd * n + other)
             continue
-        for other, eid, w in inner[u]:
-            s = stamp[other]
-            if s == done:
-                continue
-            nd = d + w
-            if s != gen or nd < dist[other]:
-                stamp[other] = gen
-                dist[other] = nd
-                if parents:
+        for other, eid, w in adj[u]:
+            if explored[other]:
+                s = stamp[other]
+                if s == done:
+                    continue
+                nd = d + w
+                if s != gen or nd < dist[other]:
+                    stamp[other] = gen
+                    dist[other] = nd
                     pare[other] = eid
-                heappush(heap, nd * n + other)
-        if not want_leaves:
-            continue
-        for eid in out[u]:
-            other = far[eid]
-            nd = d + iw[eid]
-            old = leaves.get(other)
-            if old is None or nd < old:
-                leaves[other] = nd
-                if parents:
+                    heappush(heap, nd * n + other)
+            elif want_leaves:
+                nd = d + w
+                old = leaves.get(other)
+                if old is None or nd < old:
+                    leaves[other] = nd
                     pare[other] = eid
-                if stop_leaf:
-                    lk = nd * n + other + 1
-                    if lk < cut:
-                        cut = lk
+                    if stop_leaf:
+                        lk = nd * n + other + 1
+                        if lk < cut:
+                            cut = lk
     state.adjacency_reads += reads
     state._dj_tie = tie
     return settled, leaves
@@ -371,7 +352,7 @@ def _ball(state: ExplorationState, source: int, radius: int):
     holds.  A leaf within the radius is reached from an explored vertex
     within it, which the search settled, so its distance is exact.
     """
-    settled, found = _dijkstra_explored(state, [(0, source)], radius=radius, want_leaves=True)
+    settled, found = _dijkstra_explored(state, source, radius=radius, want_leaves=True)
     n = len(state.explored)
     dist = array("q", [-1]) * n if radius < 2**63 else [-1] * n
     dj = state._dj_dist
@@ -584,10 +565,10 @@ class TraversalLog:
 # walks
 
 def _path_to(state: ExplorationState, x: int) -> list[tuple[int, int, int]]:
-    """(edge, from, to) steps of the last parent-tracking search, seed to x.
+    """(edge, from, to) steps of the last kernel search, source to x.
 
-    A seed has no parent edge; any other vertex's parent is the far end of
-    its parent edge.
+    The source has no parent edge; any other vertex's parent is the far end
+    of its parent edge.
     """
     pare, ends = state._dj_pare, state.g._edges
     path = []
@@ -620,7 +601,7 @@ def _walk(state: ExplorationState, steps: TraversalSteps, to: int, role: str, ch
     """
     if state.position == to:
         return []
-    _dijkstra_explored(state, [(0, state.position)], radius=radius, target=to, parents=True, guide=guide)
+    _dijkstra_explored(state, state.position, radius=radius, target=to, guide=guide)
     if state._dj_stamp[to] != -state._gen:
         raise _too_far(state, to, role)
     path = _path_to(state, to)
@@ -650,6 +631,11 @@ class _Engine:
     still unexplored, and filed[x] lists the edges whose first unexplored
     witness is x.  Exploring x moves each of them on to its next unexplored
     witness, or clears its flag when none is left.
+
+    rec_by_witness[v'] lists, in id order, the boundary edges that v'
+    blocked just before v' was explored (_record_blockers); the invocation
+    started at v' re-activates them, and the log's blocker_records are
+    these lists turned around.
     """
 
     def __init__(self, g: Graph, params: ExplorationParams):
@@ -672,6 +658,7 @@ class _Engine:
         self.known = bytearray(g.edge_count)
         self.wit: dict[int, list[int]] = {}
         self.filed: dict[int, list[int]] = {}
+        self.rec_by_witness: dict[int, list[int]] = {}
         self.state = ExplorationState.initial(g, params.start)
         self._queue(params.start)
         self.steps = TraversalSteps()
@@ -713,19 +700,21 @@ class _Engine:
     def _explore(self, z: int) -> None:
         """Mark z explored and bring every ball and the index up to date.
 
-        The sources that lose their edges into z shrink their radius, or
-        drop their ball with their last boundary edge.  Every ball that held
-        z is repaired from z (fact 3), unless z is a dead end: with no
-        boundary edge and one explored neighbour, no path can pass through
-        it.  The edges filed under z move on (see _Engine).  z's own ball
-        waits in _unbuilt.
+        The sources that lose their edges into z, z's explored neighbours in
+        its adjacency row, shrink their radius, or drop their ball with
+        their last boundary edge.  Every ball that held z is repaired from z
+        (fact 3), unless z is a dead end: z, a leaf of that ball, has an
+        explored neighbour, so if that is its one neighbour in g no path
+        can pass through z.  The edges filed under z move on (see _Engine).
+        z's own ball waits in _unbuilt.
         """
         st = self.state
-        lost = st.into[z]  # mark_explored gives z a new, empty list
         st.mark_explored(z)
-        src, out, balls, bnd = st.src, st.out, self.balls, self.bnd
-        for eid in lost:
-            u = src[eid]
+        row = self.g._adj[z]
+        out, balls, bnd = st.out, self.balls, self.bnd
+        # z's explored neighbours lost their edges into z; an unexplored
+        # neighbour has no ball
+        for u, _, _ in row:
             if balls[u] is None:
                 continue
             if out[u]:
@@ -746,8 +735,8 @@ class _Engine:
         held = self.holders[z]
         self.holders[z] = None
         if held:
-            inner = st.inner[z]
-            if out[z] or any(y != inner[0][0] for y, _, _ in inner):
+            first = row[0][0]
+            if any(y != first for y, _, _ in row):
                 self._grow(z, held)
         self._queue(z)
 
@@ -851,7 +840,7 @@ class _Engine:
         for eid in st.out[v]:
             if not known[eid] and not blocked(eid, mn):
                 return eid
-        recs = st.rec_by_witness.get(v)
+        recs = self.rec_by_witness.get(v)
         if recs:
             src, far, explored = st.src, st.far, st.explored
             for eid in recs:
@@ -870,9 +859,9 @@ class _Engine:
         that the invocation at x can re-activate it (fact 4).  Only an edge
         heavier than minw[x] can be recorded, and its source has a ball,
         built by that select; x is in it when d(u, x) is within the
-        source's radius.  The records feed rec_by_witness only, in id
-        order for the selects at x: x is explored next, so filing an edge
-        under it could never spare a check.
+        source's radius.  The records feed the engine's rec_by_witness only,
+        in id order for the selects at x: x is explored next, so filing an
+        edge under it could never spare a check.
         """
         held = self.holders[x]
         if not held:
@@ -891,14 +880,14 @@ class _Engine:
                     found.append(eid)
         if found:
             found.sort()
-            st.rec_by_witness[x] = found
+            self.rec_by_witness[x] = found
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> TraversalLog:
         st = self.state
         g = self.g
-        iw = g._iw
+        iw, adj, explored = g._iw, g._adj, st.explored
         # a frame: its vertex, the edge that entered it, and the approach
         # path before that edge while a retrace can stand in for the search
         # back (else None); see _return
@@ -928,14 +917,14 @@ class _Engine:
             st.cost += w
             self._explore(x)
             # the return from x retraces only if y is its one explored
-            # neighbour, seen while x's adjacency is read (see _return)
-            if approach is not None and any(other != y for other, _, _ in st.inner[x]):
+            # neighbour, seen in the row read when x was explored (see _return)
+            if approach is not None and any(other != y and explored[other] for other, _, _ in adj[x]):
                 approach = None
             st.position = x
             self.taken.append(eid)
             frames.append((x, eid, approach))
         if st.explored_count != g.n:
-            missing = next(i for i in range(g.n) if not st.explored[i])
+            missing = next(i for i in range(g.n) if not explored[i])
             raise InvariantViolation("exploration-complete", witness=missing)
         if st.position != self.params.start:
             raise InvariantViolation("return-to-start", witness=st.position)
@@ -963,8 +952,9 @@ class _Engine:
         neighbour.  Then v is a dead end and the approach path is the only
         shortest path from `to` to y, so the way back is v's first lightest
         edge to y and then that path reversed: exactly the path a search
-        from v finds (fact 5).  Reading v's edges counts one adjacency read,
-        like an expansion.  Every other return searches.
+        from v finds (fact 5).  Reading v's adjacency row for its edges to y
+        counts one adjacency read, like an expansion.  Every other return
+        searches.
         """
         st = self.state
         radius = self.p2 * self.g._iw[entered_by] // self.q2
@@ -973,7 +963,7 @@ class _Engine:
             return
         st.adjacency_reads += 1
         y = st.src[entered_by]
-        _, first, cost = min(st.inner[v], key=operator.itemgetter(2))
+        _, first, cost = min((e for e in self.g._adj[v] if e[0] == y), key=operator.itemgetter(2))
         iw = self.g._iw
         cost += sum(iw[eid] for eid, _, _ in approach)
         if cost > radius:
@@ -991,8 +981,7 @@ class _Engine:
         lists, which are born sorted; every witness's list is released as
         it is read, and each edge's list as its tuple replaces it.
         """
-        st = self.state
-        by_witness, st.rec_by_witness = st.rec_by_witness, {}
+        by_witness, self.rec_by_witness = self.rec_by_witness, {}
         records: dict = {}
         for x in sorted(by_witness):
             for eid in by_witness.pop(x):
@@ -1042,32 +1031,22 @@ class CostChainReport:
     boundary_weight: Fraction
     bound: Fraction
     failures: list
-    optspan_bound: Fraction | None = None
-    mst_b_weight: Fraction | None = None
-    optspan_ok: bool | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "ok": self.ok,
             "total_cost": str(self.total_cost),
             "boundary_weight": str(self.boundary_weight),
             "bound": str(self.bound),
             "failures": self.failures,
         }
-        if self.optspan_bound is not None:
-            d["optspan_bound"] = str(self.optspan_bound)
-            d["mst_b_weight"] = str(self.mst_b_weight)
-            d["optspan_ok"] = self.optspan_ok
-        return d
 
 
-def verify_cost_chain(g: Graph, log: TraversalLog, delta, optspan_bound=None) -> CostChainReport:
+def verify_cost_chain(g: Graph, log: TraversalLog, delta) -> CostChainReport:
     """Check the per-edge charge decomposition and the total cost bound.
 
     Sums run over the graph's scaled integer weights; (1+delta) = p/q bounds
-    are compared as a*q <= p*w.  With optspan_bound (an upper bound on the
-    best spanner lightness of the taken edges plus their overlap-maximizing
-    MST), additionally checks total <= 2(delta+2) * optspan_bound * w(MST_B).
+    are compared as a*q <= p*w.
     """
     d = as_fraction(delta)
     one_plus = 1 + d
@@ -1110,25 +1089,13 @@ def verify_cost_chain(g: Graph, log: TraversalLog, delta, optspan_bound=None) ->
         failures.append({"why": f"step sum {step_sum} != logged total {log.total_cost}"})
     if log.total_cost > bound:
         failures.append({"why": f"total {log.total_cost} > 2(delta+2)w(B) = {bound}"})
-    report = CostChainReport(
+    return CostChainReport(
         ok=not failures,
         total_cost=log.total_cost,
         boundary_weight=w_b,
         bound=bound,
         failures=failures,
     )
-    if optspan_bound is not None:
-        ob = as_fraction(optspan_bound)
-        mst_b = mst_maximizing_overlap(g, log.taken_boundary)
-        report.optspan_bound = ob
-        report.mst_b_weight = mst_b.weight()
-        report.optspan_ok = log.total_cost <= 2 * two_plus * ob * mst_b.weight()
-        if not report.optspan_ok:
-            report.ok = False
-            report.failures.append(
-                {"why": f"total exceeds 2(delta+2)*{ob}*w(MST_B)={2 * two_plus * ob * mst_b.weight()}"}
-            )
-    return report
 
 
 def taken_union_mst(g: Graph, log: TraversalLog) -> EdgeSubset:
@@ -1170,7 +1137,7 @@ def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
     steps = TraversalSteps()
     taken: list[int] = []
     while st.explored_count < g.n:
-        _, leaves = _dijkstra_explored(st, [(0, st.position)], parents=True, stop_leaf=True)
+        _, leaves = _dijkstra_explored(st, st.position, stop_leaf=True)
         if not leaves:
             raise InvariantViolation("nearest-neighbor-frontier", witness=st.position)
         _, target = min((d, v) for v, d in leaves.items())

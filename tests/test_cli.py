@@ -621,8 +621,8 @@ class TestCliFailureExit:
     def test_failed_explore_verdict_reaches_every_row(self, tmp_path, capsys, monkeypatch):
         real = exploration.verify_cost_chain
 
-        def failing(g, log, delta, optspan_bound=None):
-            rep = real(g, log, delta, optspan_bound)
+        def failing(g, log, delta):
+            rep = real(g, log, delta)
             rep.ok = False
             rep.failures.append({"why": "injected"})
             return rep

@@ -137,7 +137,7 @@ class TestInternallyExploredDistance:
     def test_zero_for_same_vertex(self):
         g = Graph(2, [(0, 1, 1)])
         st_ = ExplorationState.initial(g, 0)
-        settled, leaves = _dijkstra_explored(st_, [(0, 0)], want_leaves=True)
+        settled, leaves = _dijkstra_explored(st_, 0, want_leaves=True)
         assert settled == [0] and st_._dj_dist[0] == 0
         assert leaves == {1: 1}
 
@@ -145,7 +145,7 @@ class TestInternallyExploredDistance:
         for _ in range(8):
             g = random_connected_graph(rng, 8, 5)
             st_ = ExplorationState.from_explored(g, range(8), 0)
-            settled, _ = _dijkstra_explored(st_, [(0, 3)])
+            settled, _ = _dijkstra_explored(st_, 3)
             assert sorted(settled) == list(range(8))
             ref = shortest_path_distances(g, 3)
             for y in range(8):
@@ -160,30 +160,72 @@ class TestInternallyExploredDistance:
             g = _tied_graph(rng, n, rng.randint(0, 2 * n))
             st_ = ExplorationState.from_explored(g, range(n), 0)
             s, t = rng.sample(range(n), 2)
-            _dijkstra_explored(st_, [(0, s)], target=t, parents=True)
+            _dijkstra_explored(st_, s, target=t)
             path = _path_to(st_, t)
-            settled, _ = _dijkstra_explored(st_, [(0, s)])
+            settled, _ = _dijkstra_explored(st_, s)
             dist = {x: st_._dj_dist[x] for x in settled}
             count = dict.fromkeys(range(n), 0)
             count[s] = 1
             for x in sorted(settled, key=dist.__getitem__):
-                for y, _, w in st_.inner[x]:
+                for y, _, w in g._adj[x]:
                     if dist[x] + w == dist[y]:
                         count[y] += count[x]
             guide, _ = _ball(st_, t, sum(g._iw))
-            _dijkstra_explored(st_, [(0, s)], target=t, parents=True, guide=guide)
+            _dijkstra_explored(st_, s, target=t, guide=guide)
             assert _path_to(st_, t) == path
             assert st_._dj_tie == (count[t] > 1)
             guide[s] = -1
             with pytest.raises(InvariantViolation):
-                _dijkstra_explored(st_, [(0, s)], target=t, parents=True, guide=guide)
+                _dijkstra_explored(st_, s, target=t, guide=guide)
 
     def test_unexplored_interior_blocks_path(self):
         # 0 -- 1 -- 2 with 1 unexplored: no internally explored 0-2 path
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
         st_ = ExplorationState.from_explored(g, [0], 0)
-        _, leaves = _dijkstra_explored(st_, [(0, 0)], want_leaves=True)
+        _, leaves = _dijkstra_explored(st_, 0, want_leaves=True)
         assert leaves == {1: 1, 2: 5}  # 2 by its direct edge only
+
+
+@settings(max_examples=200)
+@given(
+    edges=st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.integers(0, 6),
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2)]),
+        ).filter(lambda e: e[0] != e[1]),
+        max_size=16,
+    ),
+    order=st.permutations(range(7)),
+)
+def test_state_bookkeeping_after_every_explore(edges, order):
+    # parallel and zero-weight edges, explored in a random order: after
+    # every mark_explored the boundary equals its definition
+    g = Graph(7, edges)
+    iw = g._iw
+    st_ = ExplorationState.initial(g, order[0])
+    for i in range(1, len(order) + 1):
+        explored = set(order[:i])
+        boundary = []
+        for u in range(g.n):
+            # u's edges to unexplored vertices, in id order, if u is explored
+            want = [
+                e for e in range(g.edge_count)
+                if u in explored and u in g.endpoints(e) and sum(g.endpoints(e)) - u not in explored
+            ]
+            assert st_.out[u] == want
+            for e in want:
+                assert st_.src[e] == u and st_.far[e] == sum(g.endpoints(e)) - u
+            boundary += want
+        for v in range(g.n):
+            into = [iw[e] for e in boundary if v in g.endpoints(e)] if v not in explored else []
+            assert st_.minw[v] == (min(into) if into else None)
+        assert st_.min_boundary_weight_scaled() == min((iw[e] for e in boundary), default=None)
+        for e in range(g.edge_count):
+            a, b = g.endpoints(e)
+            assert st_.on_boundary(e) == ((a in explored) != (b in explored))
+        if i < len(order):
+            st_.mark_explored(order[i])
 
 
 class TestBlockingPredicate:
@@ -228,10 +270,13 @@ class TestBlockingPredicate:
             is_blocked(self.st, self.g, 0, self.delta)
 
     def test_records_nothing(self):
-        # re-activation records come from the engine's ball lookup alone
-        blocked, wit = is_blocked(self.st, self.g, 10, self.delta)
+        # re-activation records come from the engine's ball lookup alone;
+        # the state holds none, and a check leaves its boundary as it was
+        st_ = self.st
+        before = ([list(o) for o in st_.out], list(st_.minw), list(st_.src), list(st_.far))
+        blocked, wit = is_blocked(st_, self.g, 10, self.delta)
         assert blocked and wit == {8}
-        assert self.st.rec_by_witness == {}
+        assert (st_.out, st_.minw, st_.src, st_.far) == before
 
 
 class TestCombLowerBound:
@@ -324,13 +369,6 @@ class TestCostChain:
         )
         rep = verify_cost_chain(g, bogus, 1)
         assert not rep.ok and rep.failures
-
-    def test_optspan_link_with_supplied_bound(self):
-        g = gen_random_planar(25, seed=3)
-        delta = Fraction(2)
-        log = run_blocking(g, ExplorationParams(delta=delta))
-        rep = verify_cost_chain(g, log, delta, optspan_bound=1 + 2 / delta)
-        assert rep.ok and rep.optspan_ok
 
     def test_nearest_neighbor_snakes_through_grid(self):
         # boustrophedon over the 4x4 unit grid: 15 edges, then 3 home
@@ -431,10 +469,10 @@ class TestOnlinePurity:
     def test_kernel_rejects_unexplored_seed(self):
         g = Graph(3, [(0, 1, 1), (1, 2, 1)])
         st_ = ExplorationState.initial(g, 0)
-        _dijkstra_explored(st_, [(0, 0)])
+        _dijkstra_explored(st_, 0)
         reads = st_.adjacency_reads
         with pytest.raises(OnlinePurityError):
-            _dijkstra_explored(st_, [(0, 2)])
+            _dijkstra_explored(st_, 2)
         assert st_.adjacency_reads == reads
 
     def test_runs_report_zero_violations(self):

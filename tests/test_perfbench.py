@@ -52,3 +52,35 @@ def test_package_imports_are_used():
                     if name not in used and (path.stem, name) not in bound:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_package_functions_read_their_locals():
+    """Each name a package function binds is read somewhere in it, nested
+    functions included; a deletion that strands a local fails here.
+    Parameters, `_`-prefixed names and nonlocal or global names are exempt."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef)
+    stranded = []
+    for path in sorted((ROOT / "src" / "graphexplore").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, scopes):
+                continue
+            read, bound, exempt = set(), {}, set()
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Nonlocal, ast.Global)):
+                    exempt.update(node.names)
+                elif isinstance(node, ast.Name):
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(node.id)
+                    elif isinstance(node.ctx, ast.Store):
+                        bound.setdefault(node.id, node.lineno)
+                elif isinstance(node, ast.ExceptHandler) and node.name:
+                    bound.setdefault(node.name, node.lineno)
+                elif node is not func and isinstance(node, (*scopes, ast.ClassDef)):
+                    bound.setdefault(node.name, node.lineno)
+            stranded += [
+                f"{path.name}:{line} {func.name}: {name}"
+                for name, line in bound.items()
+                if not name.startswith("_") and name not in read and name not in exempt
+            ]
+    assert not stranded, f"bound but never read: {stranded}"

@@ -152,21 +152,18 @@ class DistanceTable:
         return self.dist[v]
 
 
-def _dijkstra(g: Graph, sources, *, edge_ok=None, parents: bool = False):
+def _dijkstra(g: Graph, source: int, *, edge_ok=None):
     """Scaled-int single-source Dijkstra over (a filtered subset of) g.
 
-    sources is a list of (initial scaled distance, vertex) seeds.  Vertices
-    settle in (distance, id) order and a parent edge is set on each strict
-    improvement only.  Returns (dist, parent_edge) where unreached entries
-    are INF / None.  Bounded or point-to-point questions go to _within.
+    Vertices settle in (distance, id) order and a parent edge is set on
+    each strict improvement only.  Returns (dist, parent_edge) where
+    unreached entries are INF / None.  Bounded or point-to-point questions
+    go to _within.
     """
     dist = [INF] * g.n
-    par = [None] * g.n if parents else None
-    heap = []
-    for d0, s in sources:
-        if d0 < dist[s]:
-            dist[s] = d0
-            heappush(heap, (d0, s))
+    par = [None] * g.n
+    dist[source] = 0
+    heap = [(0, source)]
     adj = g._adj
     while heap:
         d, u = heappop(heap)
@@ -178,8 +175,7 @@ def _dijkstra(g: Graph, sources, *, edge_ok=None, parents: bool = False):
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
-                if par is not None:
-                    par[v] = eid
+                par[v] = eid
                 heappush(heap, (nd, v))
     return dist, par
 
@@ -259,7 +255,7 @@ def shortest_path_distances(g: Graph, source: int, edge_filter=None) -> Distance
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
-    dist, _ = _dijkstra(g, [(0, source)], edge_ok=edge_filter)
+    dist, _ = _dijkstra(g, source, edge_ok=edge_filter)
     scale = g._scale
     out = tuple(INF if d == INF else Fraction(d, scale) for d in dist)
     return DistanceTable(source=source, dist=out)

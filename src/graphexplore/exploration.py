@@ -342,19 +342,24 @@ def _dijkstra_explored(
     return settled, leaves
 
 
+def _empty_ball(n: int, radius: int):
+    """A ball of `radius` that holds nothing yet: n entries of -1, in an
+    array('q') when radius < 2**63, else in a list."""
+    return array("q", [-1]) * n if radius < 2**63 else [-1] * n
+
+
 def _ball(state: ExplorationState, source: int, radius: int):
     """The ball of explored `source`: one bounded search of the kernel.
 
     Returns (dist, leaves).  dist is a flat length-n array of the exact
     scaled distances from the source to every explored vertex and leaf
-    within `radius`, -1 for every other vertex; it is an array('q') when
-    radius < 2**63, else a list.  leaves lists the unexplored vertices it
-    holds.  A leaf within the radius is reached from an explored vertex
-    within it, which the search settled, so its distance is exact.
+    within `radius`, -1 for every other vertex (see _empty_ball).  leaves
+    lists the unexplored vertices it holds.  A leaf within the radius is
+    reached from an explored vertex within it, which the search settled,
+    so its distance is exact.
     """
     settled, found = _dijkstra_explored(state, source, radius=radius, want_leaves=True)
-    n = len(state.explored)
-    dist = array("q", [-1]) * n if radius < 2**63 else [-1] * n
+    dist = _empty_ball(len(state.explored), radius)
     dj = state._dj_dist
     for y in settled:
         dist[y] = dj[y]
@@ -431,24 +436,21 @@ class TraversalSteps(Sequence):
 
     edge, source, dest and charged_to are array('i') columns and role an
     array('b') of indexes into ROLES: 17 bytes a step, plus the arrays'
-    spare capacity.  Indexing and iteration build TraversalStep tuples on
-    the fly, and a slice is a TraversalSteps.  It equals a tuple or list of
-    the same steps, in either order of comparison, and `steps + other`
-    joins it with one.  An id beyond array('i')'s range raises
-    OverflowError rather than wrapping, and a failed append leaves the
-    columns as they were.  Readers over many steps, such as the cost-chain
-    verifier, zip the columns instead.
+    spare capacity.  Steps are written only by add_path.  Indexing by int
+    and iteration build TraversalStep tuples on the fly.  An id beyond
+    array('i')'s range raises OverflowError rather than wrapping, and a
+    failed add_path leaves the columns as they were.  Readers over many
+    steps, such as the cost-chain verifier, zip the columns instead.
     """
 
     __slots__ = ("edge", "source", "dest", "role", "charged_to")
 
-    def __init__(self, steps=()):
+    def __init__(self):
         self.edge = array("i")
         self.source = array("i")
         self.dest = array("i")
         self.role = array("b")
         self.charged_to = array("i")
-        self.extend(steps)
 
     def add_path(self, path, role: str, charged_to: int) -> None:
         """Append the (edge, from, to) triples of path, all of one role and
@@ -472,23 +474,10 @@ class TraversalSteps(Sequence):
             raise
         self.role.frombytes(bytes([code]) * len(edges))
 
-    def append(self, step) -> None:
-        edge, source, dest, role, charged_to = step
-        self.add_path(((edge, source, dest),), role, charged_to)
-
-    def extend(self, steps) -> None:
-        for step in steps:
-            self.append(step)
-
     def __len__(self) -> int:
         return len(self.edge)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            out = TraversalSteps()
-            for name in self.__slots__:
-                setattr(out, name, getattr(self, name)[i])
-            return out
+    def __getitem__(self, i: int) -> TraversalStep:
         return TraversalStep(
             self.edge[i], self.source[i], self.dest[i], ROLES[self.role[i]], self.charged_to[i]
         )
@@ -500,16 +489,7 @@ class TraversalSteps(Sequence):
     def __eq__(self, other):
         if isinstance(other, TraversalSteps):
             return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, (TraversalSteps, tuple, list)):
-            return NotImplemented
-        out = self[:]
-        out.extend(other)
-        return out
 
     def __repr__(self) -> str:
         return f"TraversalSteps({list(self)!r})"
@@ -519,9 +499,8 @@ class TraversalSteps(Sequence):
 class TraversalLog:
     """One run: its steps, their exact total cost and the taken boundary edges.
 
-    steps is a TraversalSteps whatever sequence of TraversalStep the log
-    was built from: five flat columns, 17 bytes a step, where a tuple of
-    TraversalStep tuples took about 100.
+    steps is a TraversalSteps, five flat columns of 17 bytes a step; a
+    log given steps in any other form raises TypeError.
 
     blocker_records maps a boundary edge e to the sorted tuple of the
     vertices v' that blocked e just before v' was explored while e stayed
@@ -542,7 +521,7 @@ class TraversalLog:
 
     def __post_init__(self):
         if not isinstance(self.steps, TraversalSteps):
-            self.steps = TraversalSteps(self.steps)
+            raise TypeError(f"steps must be a TraversalSteps, not {type(self.steps).__name__}")
 
     def to_json_dict(self) -> dict:
         params: dict = {"algorithm": self.algorithm, "start": self.start}
@@ -692,7 +671,7 @@ class _Engine:
                 heappush(heap, -w * n + u)
                 continue
             radius = self.p1 * w // self.q1
-            dist = array("q", [-1]) * n if radius < 2**63 else [-1] * n
+            dist = _empty_ball(n, radius)
             dist[u] = 0
             self.balls[u], self.leaves[u], self.radius[u] = dist, [], radius
             self._grow(u, (u,))
@@ -913,7 +892,7 @@ class _Engine:
                 if st._dj_tie:
                     approach = None
             self._record_blockers(x)
-            self.steps.append(TraversalStep(eid, y, x, TAKE, eid))
+            self.steps.add_path(((eid, y, x),), TAKE, eid)
             st.cost += w
             self._explore(x)
             # the return from x retraces only if y is its one explored

@@ -492,14 +492,6 @@ class InstanceSpec:
     def __hash__(self):
         return hash((self.family, tuple(sorted(self.params.items())), self.seed))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, InstanceSpec)
-            and self.family == other.family
-            and self.params == other.params
-            and self.seed == other.seed
-        )
-
 
 @dataclass
 class BuiltInstance:

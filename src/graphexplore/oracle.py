@@ -26,7 +26,7 @@ from .core import (
     require_connected,
 )
 from .errors import ResourceGuardError
-from .exploration import APPROACH, RETURN, TAKE, TraversalLog, TraversalStep
+from .exploration import APPROACH, RETURN, TAKE, TraversalLog, TraversalSteps
 
 TSP_MAX_N = 15
 REFERENCE_MAX_N = 16
@@ -43,7 +43,7 @@ class TourResult:
 
 def _metric_closure(g: Graph) -> list[list[int]]:
     """All-pairs shortest distances of a connected g, in scaled ints."""
-    return [_dijkstra(g, [(0, s)])[0] for s in range(g.n)]
+    return [_dijkstra(g, s)[0] for s in range(g.n)]
 
 
 def exact_tsp(g: Graph, start: int = 0) -> TourResult:
@@ -123,8 +123,8 @@ def _stretch_ok_all_pairs(g: Graph, keep, one_plus: Fraction) -> bool:
     """
     p, q = one_plus.numerator, one_plus.denominator
     for s in range(g.n):
-        dg, _ = _dijkstra(g, [(0, s)])
-        dh, _ = _dijkstra(g, [(0, s)], edge_ok=keep.__contains__)
+        dg, _ = _dijkstra(g, s)
+        dh, _ = _dijkstra(g, s, edge_ok=keep.__contains__)
         for t in range(s + 1, g.n):
             if dg[t] == INF:
                 continue
@@ -133,7 +133,7 @@ def _stretch_ok_all_pairs(g: Graph, keep, one_plus: Fraction) -> bool:
     return True
 
 
-def brute_force_optspan_edges(g: Graph, epsilon, forced_edges=()) -> EdgeSubset:
+def brute_force_optspan_edges(g: Graph, epsilon) -> EdgeSubset:
     """Minimum-weight (1+eps)-spanner by exhaustive edge-subset search.
 
     Searches over which edges to REMOVE, with two prunings: supersets of an
@@ -141,8 +141,8 @@ def brute_force_optspan_edges(g: Graph, epsilon, forced_edges=()) -> EdgeSubset:
     branches that cannot beat the incumbent weight are cut.  A removal set
     is feasible iff every removed edge keeps a detour within its allowance
     in the kept edges (max stretch over all pairs equals the max over
-    edges), so each test is one bounded search per removed edge.
-    `forced_edges` must stay in every candidate.  Guarded to m <= 20.
+    edges), so each test is one bounded search per removed edge.  Guarded
+    to m <= 20.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
@@ -155,14 +155,10 @@ def brute_force_optspan_edges(g: Graph, epsilon, forced_edges=()) -> EdgeSubset:
         )
     one_plus = 1 + eps
     p, q = one_plus.numerator, one_plus.denominator
-    forced = frozenset(forced_edges)
-    for eid in forced:
-        if not (0 <= eid < m):
-            raise ValueError(f"forced edge id {eid} out of range")
     iw = g._iw
     ends = g._edges
     allowance = [p * w // q for w in iw]
-    removable = sorted(set(range(m)) - forced, key=lambda e: -iw[e])
+    removable = sorted(range(m), key=lambda e: -iw[e])
     all_ids = frozenset(range(m))
     total_w = sum(iw)
     best_keep = all_ids
@@ -360,7 +356,7 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
     explored[params.start] = True
     one_plus = 1 + params.delta
     records: dict[int, set[int]] = {}
-    steps: list[TraversalStep] = []
+    steps = TraversalSteps()
     taken: list[int] = []
 
     def inside(e):
@@ -377,7 +373,7 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
 
     def distance(u, x):
         """d(u, x), scaled, for explored u and unexplored x."""
-        du, _ = _dijkstra(g, [(0, u)], edge_ok=inside)
+        du, _ = _dijkstra(g, u, edge_ok=inside)
         return min((du[z] + w for z, _, w in g._adj[x] if explored[z]), default=INF)
 
     def blocks(bnd, x, e, u):
@@ -398,13 +394,13 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
         return None
 
     def walk(pos, to, role, charge):
-        _, par = _dijkstra(g, [(0, pos)], edge_ok=inside, parents=True)
+        _, par = _dijkstra(g, pos, edge_ok=inside)
         path = []
         while to != pos:
             a, b = g.edges[par[to]]
-            path.append(TraversalStep(par[to], a if b == to else b, to, role, charge))
-            to = path[-1].source
-        steps.extend(reversed(path))
+            path.append((par[to], a if b == to else b, to))
+            to = path[-1][1]
+        steps.add_path(path[::-1], role, charge)
 
     frames = [(params.start, -1)]
     pos = params.start
@@ -424,7 +420,7 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
         for e2, u2, x2 in bnd:
             if x2 != x and blocks(bnd, x, e2, u2):
                 records.setdefault(e2, set()).add(x)
-        steps.append(TraversalStep(e, u, x, TAKE, e))
+        steps.add_path(((e, u, x),), TAKE, e)
         explored[x] = True
         pos = x
         taken.append(e)
@@ -433,7 +429,7 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
         algorithm="blocking_reference",
         start=params.start,
         steps=steps,
-        total_cost=sum((g.weight(s.edge) for s in steps), Fraction(0)),
+        total_cost=sum(map(g.weight, steps.edge), Fraction(0)),
         taken_boundary=EdgeSubset(g, taken),
         delta=params.delta,
         blocker_records={e: tuple(sorted(s)) for e, s in records.items()},

@@ -29,16 +29,7 @@ class SpannerResult:
     edges: EdgeSubset
     epsilon: Fraction
     lightness: Fraction
-    stretch_certificate: Fraction
     mst_weight: Fraction  # the denominator of lightness
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "edge_ids": sorted(self.edges.ids),
-            "lightness": str(self.lightness),
-            "stretch_certificate": str(self.stretch_certificate),
-        }
 
 
 def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
@@ -49,8 +40,8 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     1+epsilon, contains the (weight, id)-tie Kruskal MST, and no kept edge
     is redundant.  Every search runs in the spanner's own adjacency lists,
     grown as edges are kept, and stops at the first detour within the
-    edge's allowance.  Exact distances are found only for the stretch
-    certificate, and only for dropped edges whose detour could raise it.
+    edge's allowance, so no distance is found exactly here: the spanner's
+    maximum stretch is verify_spanner_stretch's max_ratio.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
@@ -63,42 +54,20 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     ends = g._edges
     hadj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
     kept: list[int] = []
-    dropped: list[tuple[int, int]] = []  # (eid, detour length d) when dropped
     for eid in sorted(range(m), key=lambda e: (iw[e], e)):
         u, v = ends[eid]
         w = iw[eid]
-        d = _within(hadj, u, v, p * w // q, exact=False)
-        if d is None:  # distance exceeds (1+eps) * w: keep
+        if _within(hadj, u, v, p * w // q, exact=False) is None:
+            # distance exceeds (1+eps) * w: keep
             hadj[u].append((v, eid, w))
             hadj[v].append((u, eid, w))
             kept.append(eid)
-        elif w:
-            dropped.append((eid, d))
     h = EdgeSubset(g, kept)
-    # max stretch over all vertex pairs equals the max over edges of
-    # d_h(u, v) / w(e): along a shortest g-path, each edge's endpoints are
-    # within its per-edge ratio in h, and those detours concatenate.  A kept
-    # edge has ratio exactly 1 (a lighter h-path would have blocked it).  h
-    # only grew after an edge was dropped, so the detour d seen then bounds
-    # its final distance: keep a running maximum top_d / top_w in scan
-    # order, and search the final h exactly only when d / w beats it
-    top_d, top_w = 1, 1
-    for eid, d in dropped:
-        w = iw[eid]
-        if d * top_w <= top_d * w:
-            continue
-        u, v = ends[eid]
-        dh = _within(hadj, u, v, d)
-        assert dh is not None, "kept spanner must satisfy its own bound"
-        if dh * top_w > top_d * w:
-            top_d, top_w = dh, w
-    cert = Fraction(top_d, top_w)
     mst_w = minimum_spanning_tree(g).weight()
     return SpannerResult(
         edges=h,
         epsilon=eps,
         lightness=_over_mst(h.weight(), mst_w),
-        stretch_certificate=cert,
         mst_weight=mst_w,
     )
 

@@ -117,13 +117,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(instances=inst, jobs=0)
 
-    def test_from_json_parallelism_alias(self):
-        cfg = ExperimentConfig.from_json_dict(
-            {"instances": [json.loads(COMB)], "parallelism": 3}
-        )
-        assert cfg.jobs == 3
+    def test_from_json_parallelism_is_an_unknown_key(self, tmp_path, capsys):
+        # "jobs" is the one key for workers; "parallelism" once shadowed it
         cfg = ExperimentConfig.from_json_dict({"instances": [json.loads(COMB)], "jobs": 2})
         assert cfg.jobs == 2
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"instances": [json.loads(COMB)], "jobs": 4, "parallelism": 1}),
+                     encoding="utf-8")
+        assert main(["explore", "--config", str(p), "--delta", "2"]) == 2
+        assert "unknown keys parallelism" in capsys.readouterr().err
 
     def test_unknown_keys_are_named(self):
         with pytest.raises(ParseError, match="algoritms, strict"):
@@ -406,7 +408,7 @@ class TestCliRoundTrips:
         cfg = {
             "instances": [json.loads(COMB)],
             "algorithms": [{"name": "blocking", "delta": "2"}],
-            "parallelism": 2,
+            "jobs": 2,
             "output": {"format": "json"},
         }
         cfg_path = tmp_path / "cfg.json"
@@ -611,7 +613,7 @@ class TestCliFailureExit:
     def test_failed_stretch_verdict_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             experiments, "verify_spanner_stretch",
-            lambda *a, **k: SimpleNamespace(ok=False),
+            lambda *a, **k: SimpleNamespace(ok=False, max_ratio=Fraction(2)),
         )
         out = tmp_path / "r.csv"
         assert main(["spanner", "--instance", COMB, "--epsilon", "1/2", "--out", str(out)]) == 1

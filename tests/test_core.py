@@ -122,6 +122,22 @@ class TestShortestPaths:
                 u, v = g.endpoints(eid)
                 assert t.dist[v] <= t.dist[u] + g.weight(eid)
 
+    def test_parents_trace_shortest_paths(self, rng):
+        # the kernel always records parents: from every vertex they lead
+        # back to the source over edges whose weights sum to its distance
+        for _ in range(10):
+            g = random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 8))
+            src = rng.randrange(g.n)
+            dist, par = _dijkstra(g, src)
+            assert par[src] is None
+            for v in range(g.n):
+                x, total = v, 0
+                while x != src:
+                    a, b = g.endpoints(par[x])
+                    total += g._iw[par[x]]
+                    x = a if b == x else b
+                assert total == dist[v]
+
 
 class TestMst:
     def test_triangle(self):
@@ -275,7 +291,7 @@ def test_bounded_search_matches_full_dijkstra(seed):
     skip = rng.randrange(-1, g.edge_count) if g.edge_count else -1
     u, v = rng.randrange(n), rng.randrange(n)
     radius = INF if rng.random() < 0.2 else rng.randint(0, 8 * g._scale)
-    dist, _ = _dijkstra(g, [(0, u)], edge_ok=lambda e: e in keep and e != skip)
+    dist, _ = _dijkstra(g, u, edge_ok=lambda e: e in keep and e != skip)
     expect = dist[v] if dist[v] <= radius else None
     assert _within(adj, u, v, radius, skip) == (None if expect == INF else expect)
 
@@ -292,7 +308,7 @@ def test_bounded_search_radius_boundary(n, data):
     g = Graph(n, [(a, b, w) for (a, b), w in edges if a != b])
     skip = data.draw(st.integers(-1, g.edge_count - 1))
     for u in range(n):
-        dist, _ = _dijkstra(g, [(0, u)], edge_ok=lambda e: e != skip)
+        dist, _ = _dijkstra(g, u, edge_ok=lambda e: e != skip)
         for v in range(n):
             d = dist[v]
             if d == INF:
@@ -315,7 +331,7 @@ def test_early_exit_search_contract(n, data):
     skip = data.draw(st.integers(-1, g.edge_count - 1))
     radii = data.draw(st.lists(st.integers(0, 8 * g._scale), min_size=1, max_size=4))
     for u in range(n):
-        dist, _ = _dijkstra(g, [(0, u)], edge_ok=lambda e: e != skip)
+        dist, _ = _dijkstra(g, u, edge_ok=lambda e: e != skip)
         for v in range(n):
             d = dist[v]
             rs = radii + ([INF] if d == INF else [d, d - 1, INF])

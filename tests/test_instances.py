@@ -297,6 +297,18 @@ class TestInstanceSpec:
         s = InstanceSpec("toroidal_grid", {"p": 4, "q": 6, "weights": "uniform"}, seed=9)
         assert InstanceSpec.from_json_dict(s.to_json_dict()) == s
 
+    def test_equality_and_hash_agree(self):
+        a = InstanceSpec("grid", {"p": 3, "q": 4}, seed=1)
+        b = InstanceSpec("grid", {"q": 4, "p": 3}, seed=1)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        for other in (
+            InstanceSpec("grid", {"p": 3, "q": 5}, seed=1),
+            InstanceSpec("grid", {"p": 3, "q": 4}, seed=2),
+            InstanceSpec("toroidal_grid", {"p": 3, "q": 4}, seed=1),
+        ):
+            assert a != other
+        assert a != ("grid", {"p": 3, "q": 4}, 1)
+
     def test_build_dispatch_and_genus(self):
         cases = {
             "comb_lower_bound": ({"k": 2, "delta": "1/2"}, 0),

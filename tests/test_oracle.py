@@ -234,13 +234,6 @@ class TestOptspan:
         assert brute_force_optspan(g, 2) == 1
         assert brute_force_optspan(g, 1) == Fraction(4, 3)
 
-    def test_forced_edge_respected(self):
-        g = unit_square()
-        free = brute_force_optspan_edges(g, 2)
-        assert 0 not in free.ids
-        forced = brute_force_optspan_edges(g, 2, forced_edges=(0,))
-        assert 0 in forced.ids and forced.weight() == 3
-
     def test_removal_that_breaks_an_earlier_detour(self):
         # every removed edge is rechecked after each new removal, not just
         # the newest: (1,2) may go on its own, with detour 1-3-2 of 9/2, but
@@ -250,10 +243,6 @@ class TestOptspan:
         best = brute_force_optspan_edges(g, 1)
         assert best.ids == {0, 2, 3, 4} and best.weight() == Fraction(19, 2)
         assert best.ids == optspan_all_pairs(g, Fraction(1))
-
-    def test_forced_edge_range_checked(self):
-        with pytest.raises(ValueError):
-            brute_force_optspan_edges(unit_square(), 1, forced_edges=(9,))
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
@@ -273,11 +262,11 @@ class TestOptspan:
             assert 1 <= opt <= whole
 
 
-def optspan_all_pairs(g: Graph, eps, forced=frozenset()) -> frozenset:
+def optspan_all_pairs(g: Graph, eps) -> frozenset:
     """The same removal search, with every candidate tested on all pairs."""
     one_plus = 1 + eps
     iw = g._iw
-    removable = sorted(set(range(g.edge_count)) - set(forced), key=lambda e: -iw[e])
+    removable = sorted(range(g.edge_count), key=lambda e: -iw[e])
     all_ids = frozenset(range(g.edge_count))
     best = [all_ids, sum(iw)]
 
@@ -308,15 +297,13 @@ def test_optspan_matches_all_pairs_feasibility(seed, eps):
         u, v = rng.sample(range(n), 2)
         edges.append((u, v, rng.choice(weights)))
     g = Graph(n, edges)
-    forced = frozenset(e for e in range(g.edge_count) if rng.random() < 0.2)
-    best = brute_force_optspan_edges(g, eps, forced)
-    assert best.ids == optspan_all_pairs(g, eps, forced)
-    assert forced <= best.ids
+    best = brute_force_optspan_edges(g, eps)
+    assert best.ids == optspan_all_pairs(g, eps)
     assert _stretch_ok_all_pairs(g, best.ids, 1 + eps)
     # no lighter feasible keep-set exists, checked over every subset
     for mask in range(1 << g.edge_count):
         keep = frozenset(e for e in range(g.edge_count) if mask >> e & 1)
-        if forced <= keep and EdgeSubset(g, keep).weight() < best.weight():
+        if EdgeSubset(g, keep).weight() < best.weight():
             assert not _stretch_ok_all_pairs(g, keep, 1 + eps)
 
 

@@ -17,7 +17,13 @@ from graphexplore.errors import (
 )
 import graphexplore.experiments as experiments
 from graphexplore.experiments import SPANNER_CHECKS, spanner_row
-from graphexplore.instances import InstanceSpec, build_instance, gen_random_planar, gen_toroidal_grid
+from graphexplore.instances import (
+    BuiltInstance,
+    InstanceSpec,
+    build_instance,
+    gen_random_planar,
+    gen_toroidal_grid,
+)
 from graphexplore.oracle import brute_force_optspan, brute_force_optspan_edges
 import graphexplore.spanner as spanner_module
 from graphexplore.spanner import (
@@ -35,6 +41,13 @@ def c6_with_chord() -> Graph:
     edges = [(i, (i + 1) % 6, Fraction(1)) for i in range(6)]
     edges.append((0, 3, Fraction(5, 2)))
     return Graph(6, edges)
+
+
+def chord_instance():
+    """c6_with_chord as a built instance, for spanner rows."""
+    g = c6_with_chord()
+    spec = InstanceSpec("file", {"path": "c6_with_chord.edges"})
+    return BuiltInstance(spec=spec, graph=g, start=0, genus=None)
 
 
 def exact_max_stretch(g: Graph, ids) -> Fraction:
@@ -59,7 +72,7 @@ class TestGreedyBasics:
         r = greedy_spanner(g, Fraction(1, 2))
         assert r.edges.ids == {0, 1, 2, 3}
         assert r.lightness == 1
-        assert r.stretch_certificate == 1
+        assert verify_spanner_stretch(g, r.edges, Fraction(1, 2)).max_ratio == 1
 
     def test_unit_triangle_all_kept(self):
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
@@ -69,18 +82,21 @@ class TestGreedyBasics:
         assert r.lightness == Fraction(3, 2)
 
     def test_chord_kept_under_tight_epsilon(self):
-        r = greedy_spanner(c6_with_chord(), Fraction(1, 10))
+        g = c6_with_chord()
+        r = greedy_spanner(g, Fraction(1, 10))
         assert 6 in r.edges.ids
         assert r.lightness == Fraction(17, 10)
-        assert r.stretch_certificate == 1
+        assert verify_spanner_stretch(g, r.edges, Fraction(1, 10)).max_ratio == 1
 
     def test_chord_dropped_when_detour_allowed(self):
-        r = greedy_spanner(c6_with_chord(), Fraction(1, 5))
+        g = c6_with_chord()
+        r = greedy_spanner(g, Fraction(1, 5))
         assert 6 not in r.edges.ids
         assert r.edges.ids == {0, 1, 2, 3, 4, 5}
         assert r.lightness == Fraction(6, 5)
         # worst pair is the chord's endpoints: 3 around vs 5/2 direct
-        assert r.stretch_certificate == Fraction(6, 5)
+        rep = verify_spanner_stretch(g, r.edges, Fraction(1, 5))
+        assert rep.max_ratio == Fraction(6, 5) and rep.worst_pair == (0, 3)
 
     def test_parallel_edges_keep_lightest(self):
         g = Graph(2, [(0, 1, 2), (0, 1, 1), (0, 1, 1)])
@@ -100,12 +116,21 @@ class TestGreedyBasics:
             greedy_spanner(g, 1)
 
     def test_json_shape(self):
-        r = greedy_spanner(c6_with_chord(), Fraction(1, 5))
-        doc = r.to_json_dict()
-        assert doc["epsilon"] == "1/5"
-        assert doc["edge_ids"] == [0, 1, 2, 3, 4, 5]
-        assert doc["lightness"] == "6/5"
-        assert doc["stretch_certificate"] == "6/5"
+        # the spanner's report is its row, written as CSV or JSON
+        row = spanner_row(chord_instance(), Fraction(1, 5), SPANNER_CHECKS)
+        assert row["epsilon"] == "1/5" and row["kept_edges"] == "6"
+        assert row["lightness"] == "6/5"
+        assert row["stretch_certificate"] == "6/5"
+        assert row["verified_ok"] == "yes"
+
+    def test_row_certificate_without_the_stretch_check(self):
+        # the certificate is the stretch check's max_ratio whether or not
+        # its verdict is asked for
+        built = chord_instance()
+        full = spanner_row(built, Fraction(1, 5), SPANNER_CHECKS)
+        only = spanner_row(built, Fraction(1, 5), ("minimality",))
+        assert only["stretch_certificate"] == full["stretch_certificate"] == "6/5"
+        assert only["stretch_certificate_float"] == full["stretch_certificate_float"]
 
 
 class TestLightness:
@@ -206,12 +231,15 @@ class TestStretchVerifier:
 
 
 class TestCertificate:
+    # a spanner row's stretch certificate is the stretch check's max_ratio
+
     def test_certificate_equals_all_pairs_max(self, rng):
         for _ in range(12):
             g = random_connected_graph(rng, rng.randint(3, 12), rng.randint(0, 9))
             eps = rng.choice([Fraction(1, 8), Fraction(1, 2), Fraction(2)])
             r = greedy_spanner(g, eps)
-            assert r.stretch_certificate == exact_max_stretch(g, r.edges.ids)
+            cert = verify_spanner_stretch(g, r.edges, eps).max_ratio
+            assert cert == exact_max_stretch(g, r.edges.ids)
 
     def test_certificate_measured_in_the_final_spanner(self):
         # (0,2) is dropped at detour 2 through vertex 1; the heavier (0,3),
@@ -219,21 +247,23 @@ class TestCertificate:
         g = Graph(4, [(3, 2, Fraction(1, 2)), (0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, Fraction(11, 10))])
         r = greedy_spanner(g, 1)
         assert r.edges.ids == {0, 1, 2, 4}
-        assert r.stretch_certificate == Fraction(8, 5) == exact_max_stretch(g, r.edges.ids)
+        cert = verify_spanner_stretch(g, r.edges, 1).max_ratio
+        assert cert == Fraction(8, 5) == exact_max_stretch(g, r.edges.ids)
 
     def test_certificate_never_exceeds_allowance(self, rng):
         for _ in range(8):
             g = random_connected_graph(rng, 10, 6)
             eps = Fraction(rng.randint(1, 8), 4)
             r = greedy_spanner(g, eps)
-            assert r.stretch_certificate <= 1 + eps
+            assert verify_spanner_stretch(g, r.edges, eps).max_ratio <= 1 + eps
 
 
 class TestSearchWork:
     @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(2)])
     def test_exact_searches_only_where_a_number_is_reported(self, monkeypatch, eps):
         # dense G(200, 1/5): about 4,000 edges, each searched by the greedy
-        # and again by the stretch check, but few of them searched exactly
+        # and again by the stretch check; the greedy finds no distance
+        # exactly, and the check few of them
         g = build_instance(InstanceSpec("erdos_renyi", {"n": 200, "p": "1/5"}, 0)).graph
         exact_calls = [0]
         within = spanner_module._within
@@ -244,8 +274,7 @@ class TestSearchWork:
 
         monkeypatch.setattr(spanner_module, "_within", counting)
         r = greedy_spanner(g, eps)
-        assert exact_calls[0] <= 100
-        exact_calls[0] = 0
+        assert exact_calls[0] == 0
         assert verify_spanner_stretch(g, r.edges, eps).ok
         assert exact_calls[0] <= 100
 
@@ -388,8 +417,8 @@ def test_spanner_contract_property(seed, eps):
     g = random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 8))
     r = greedy_spanner(g, eps)
     assert minimum_spanning_tree(g).ids <= r.edges.ids
-    assert r.stretch_certificate <= 1 + eps
-    assert verify_spanner_stretch(g, r.edges, eps).ok
+    rep = verify_spanner_stretch(g, r.edges, eps)
+    assert rep.ok and rep.max_ratio <= 1 + eps
     assert verify_spanner_minimality(g, r.edges, eps).ok
 
 

@@ -96,23 +96,13 @@ class AlgorithmSpec:
         if self.name == "blocking":
             if self.delta != "log2n":
                 object.__setattr__(self, "delta", as_fraction(self.delta))
+                if self.delta <= 0:
+                    raise ValueError(f"delta must be positive, got {self.delta}")
         elif self.name == "nearest_neighbor":
             if self.delta is not None:
                 raise ValueError("nearest_neighbor takes no delta")
         else:
             raise ValueError(f"unknown algorithm {self.name!r}")
-
-    @property
-    def label(self) -> str:
-        if self.name == "blocking":
-            return f"blocking[{self.delta}]"
-        return self.name
-
-    def to_json_dict(self) -> dict:
-        out = {"name": self.name}
-        if self.name == "blocking":
-            out["delta"] = str(self.delta)
-        return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AlgorithmSpec":
@@ -138,12 +128,17 @@ class ExperimentConfig:
         if not self.instances:
             raise ValueError("config needs at least one instance")
         self.epsilons = [as_fraction(e) for e in self.epsilons]
+        for e in self.epsilons:
+            if e <= 0:
+                raise ValueError(f"epsilon must be positive, got {e}")
         known = set(EXPLORE_CHECKS + SPANNER_CHECKS)
         bad = set(self.checks) - known
         if bad:
             raise ValueError(f"unknown checks: {sorted(bad)}")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.out_format!r}")
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int):
+            raise ValueError(f"jobs must be an int, got {self.jobs!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -166,7 +161,7 @@ class ExperimentConfig:
                 algorithms=algorithms,
                 epsilons=d.get("epsilons", []),
                 checks=tuple(d.get("checks", EXPLORE_CHECKS + SPANNER_CHECKS)),
-                jobs=int(d.get("jobs", 1)),
+                jobs=d.get("jobs", 1),
                 out_path=out.get("path"),
                 out_format=out.get("format", "csv"),
             )
@@ -418,11 +413,10 @@ def _sort_key_explore(row: dict):
 
 
 def run_explore(config: ExperimentConfig) -> list[dict]:
-    algos = [a for a in config.algorithms if a.name in ("blocking", "nearest_neighbor")]
-    if not algos:
+    if not config.algorithms:
         raise ValueError("explore needs at least one algorithm")
     checks = tuple(c for c in config.checks if c in EXPLORE_CHECKS)
-    tasks = [(s, algos, checks) for s in config.instances]
+    tasks = [(s, config.algorithms, checks) for s in config.instances]
     rows = _run_tasks(_explore_task, EXPLORE_COLUMNS, tasks, config.jobs)
     rows.sort(key=_sort_key_explore)
     return rows

@@ -502,10 +502,11 @@ class TraversalLog:
     steps is a TraversalSteps, five flat columns of 17 bytes a step; a
     log given steps in any other form raises TypeError.
 
-    blocker_records maps a boundary edge e to the sorted tuple of the
-    vertices v' that blocked e just before v' was explored while e stayed
-    on the boundary.  The engine writes them from a lookup over the balls
-    holding v' (fact 4 of the module docstring); they depend on the
+    blocker_records maps each vertex v' that blocked boundary edges just
+    before v' was explored to the id-ordered tuple of those edges: the
+    edges that the invocation at v' re-activates.  The engine writes them
+    from a lookup over the balls holding v' (fact 4 of the module
+    docstring) and hands its own dict to the log; they depend on the
     definition alone, not on which balls were built or which checks the
     witness index spared.
     """
@@ -605,16 +606,16 @@ class _Engine:
     heaviest boundary weight w when pushed, as the int key -w * n + u; a
     key only overstates w, since u's boundary edges only leave.
 
-    known[e] is set while boundary edge e is known to be blocked (fact 4):
-    wit[e] lists the witnesses its last blocked check found, from the first
-    still unexplored, and filed[x] lists the edges whose first unexplored
-    witness is x.  Exploring x moves each of them on to its next unexplored
-    witness, or clears its flag when none is left.
+    A boundary edge e is known to be blocked (fact 4) while wit has an
+    entry for it: wit[e] lists the witnesses its last blocked check found,
+    from the first still unexplored, and filed[x] lists the edges whose
+    first unexplored witness is x.  Exploring x moves each of them on to
+    its next unexplored witness, or deletes its entry when none is left.
 
-    rec_by_witness[v'] lists, in id order, the boundary edges that v'
-    blocked just before v' was explored (_record_blockers); the invocation
-    started at v' re-activates them, and the log's blocker_records are
-    these lists turned around.
+    rec_by_witness[v'] is the id-ordered tuple of the boundary edges that
+    v' blocked just before v' was explored (_record_blockers); the
+    invocation started at v' re-activates them.  This dict is the log's
+    blocker_records.
     """
 
     def __init__(self, g: Graph, params: ExplorationParams):
@@ -634,10 +635,9 @@ class _Engine:
         self.radius = [0] * n
         self.holders: list = [[] for _ in range(n)]
         self._unbuilt: list[int] = []
-        self.known = bytearray(g.edge_count)
         self.wit: dict[int, list[int]] = {}
         self.filed: dict[int, list[int]] = {}
-        self.rec_by_witness: dict[int, list[int]] = {}
+        self.rec_by_witness: dict[int, tuple[int, ...]] = {}
         self.state = ExplorationState.initial(g, params.start)
         self._queue(params.start)
         self.steps = TraversalSteps()
@@ -710,7 +710,6 @@ class _Engine:
                     break
             else:
                 del wit[eid]
-                self.known[eid] = 0
         held = self.holders[z]
         self.holders[z] = None
         if held:
@@ -795,7 +794,6 @@ class _Engine:
         blockers = _blocking_witnesses(st, self.balls[u], self.leaves[u], eid, self.bnd[eid])
         if not blockers:
             return False
-        self.known[eid] = 1
         self.wit[eid] = blockers
         self.filed.setdefault(blockers[0], []).append(eid)
         return True
@@ -809,21 +807,21 @@ class _Engine:
         Builds the balls the current boundary needs first, so that they
         also serve the lookup of the edge selected.  out[v] and the edges
         re-activated at v are both kept in id order, so one scan of each,
-        which skips the edges that left the boundary and, by a byte test,
-        the edges known to be blocked, finds the first admissible.
+        which skips the edges that left the boundary and the edges known to
+        be blocked, those in wit, finds the first admissible.
         """
         st = self.state
         mn = st.min_boundary_weight_scaled()
         self._build_balls(mn)
-        blocked, known = self._blocked, self.known
+        blocked, wit = self._blocked, self.wit
         for eid in st.out[v]:
-            if not known[eid] and not blocked(eid, mn):
+            if eid not in wit and not blocked(eid, mn):
                 return eid
         recs = self.rec_by_witness.get(v)
         if recs:
             src, far, explored = st.src, st.far, st.explored
             for eid in recs:
-                if not known[eid] and not explored[far[eid]] and src[eid] != v and not blocked(eid, mn):
+                if eid not in wit and not explored[far[eid]] and src[eid] != v and not blocked(eid, mn):
                     return eid
         return None
 
@@ -838,9 +836,9 @@ class _Engine:
         that the invocation at x can re-activate it (fact 4).  Only an edge
         heavier than minw[x] can be recorded, and its source has a ball,
         built by that select; x is in it when d(u, x) is within the
-        source's radius.  The records feed the engine's rec_by_witness only,
-        in id order for the selects at x: x is explored next, so filing an
-        edge under it could never spare a check.
+        source's radius.  The records go to rec_by_witness only, in id
+        order for the selects at x: x is explored next, so filing an edge
+        under it could never spare a check.
         """
         held = self.holders[x]
         if not held:
@@ -859,7 +857,7 @@ class _Engine:
                     found.append(eid)
         if found:
             found.sort()
-            self.rec_by_witness[x] = found
+            self.rec_by_witness[x] = tuple(found)
 
     # -- main loop ----------------------------------------------------------
 
@@ -914,7 +912,7 @@ class _Engine:
             total_cost=Fraction(st.cost, g._scale),
             taken_boundary=EdgeSubset(g, self.taken),
             delta=self.params.delta,
-            blocker_records=self._blocker_records(),
+            blocker_records=self.rec_by_witness,
         )
         log.verification["access_audit"] = {
             "adjacency_reads": st.adjacency_reads,
@@ -952,26 +950,6 @@ class _Engine:
         self.steps.add_path(path, RETURN, entered_by)
         st.cost += cost
         st.position = to
-
-    def _blocker_records(self) -> dict[int, tuple[int, ...]]:
-        """rec_by_witness turned around: each edge's witnesses, a sorted tuple.
-
-        One pass over the witnesses in id order appends each to its edges'
-        lists, which are born sorted; every witness's list is released as
-        it is read, and each edge's list as its tuple replaces it.
-        """
-        by_witness, self.rec_by_witness = self.rec_by_witness, {}
-        records: dict = {}
-        for x in sorted(by_witness):
-            for eid in by_witness.pop(x):
-                lst = records.get(eid)
-                if lst is None:
-                    records[eid] = [x]
-                else:
-                    lst.append(x)
-        for eid, lst in records.items():
-            records[eid] = tuple(lst)
-        return records
 
 
 def run_blocking(g: Graph, params: ExplorationParams) -> TraversalLog:

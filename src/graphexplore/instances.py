@@ -500,10 +500,6 @@ class BuiltInstance:
     spec: InstanceSpec
     genus: int | None = None  # None = unknown
 
-    @property
-    def label(self) -> str:
-        return self.spec.label
-
 
 def build_instance(spec: InstanceSpec) -> BuiltInstance:
     """Materialize a spec; same spec always gives an identical graph."""

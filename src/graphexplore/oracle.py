@@ -342,12 +342,12 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
     "blocked" is recomputed over all boundary edges; nothing is cached.  The
     internally explored distance d(u, x) from explored u to unexplored x is
     a plain Dijkstra over explored-to-explored edges plus the cheapest edge
-    from an explored vertex into x.  Just before x is explored, x is
-    recorded against every boundary edge it blocks, and those records alone
-    re-activate edges at x.  Within each class of candidates the smaller
-    edge id wins.  Walks are shortest paths over explored-to-explored
-    edges, with the (distance, id) settling order and first-improvement
-    parents that the engine uses.  Guarded to n <= 16.
+    from an explored vertex into x.  Just before x is explored, the
+    id-ordered tuple of the boundary edges that x blocks is recorded under
+    x, and those records alone re-activate edges at x.  Within each class
+    of candidates the smaller edge id wins.  Walks are shortest paths over
+    explored-to-explored edges, with the (distance, id) settling order and
+    first-improvement parents that the engine uses.  Guarded to n <= 16.
     """
     require_connected(g, "reference_blocking")
     if g.n > REFERENCE_MAX_N:
@@ -355,7 +355,7 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
     explored = [False] * g.n
     explored[params.start] = True
     one_plus = 1 + params.delta
-    records: dict[int, set[int]] = {}
+    records: dict[int, tuple[int, ...]] = {}
     steps = TraversalSteps()
     taken: list[int] = []
 
@@ -386,7 +386,7 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
     def select(v):
         bnd = boundary()
         class1 = sorted(e for e, u, _ in bnd if u == v)
-        class2 = sorted(e for e, u, _ in bnd if u != v and v in records.get(e, ()))
+        class2 = sorted(e for e, u, _ in bnd if u != v and e in records.get(v, ()))
         src = {e: u for e, u, _ in bnd}
         for e in class1 + class2:
             if not any(blocks(bnd, x2, e, src[e]) for _, _, x2 in bnd):
@@ -417,9 +417,9 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
         u, x = (a, b) if explored[a] else (b, a)
         walk(pos, u, APPROACH, e)
         bnd = boundary()
-        for e2, u2, x2 in bnd:
-            if x2 != x and blocks(bnd, x, e2, u2):
-                records.setdefault(e2, set()).add(x)
+        blocked = sorted(e2 for e2, u2, x2 in bnd if x2 != x and blocks(bnd, x, e2, u2))
+        if blocked:
+            records[x] = tuple(blocked)
         steps.add_path(((e, u, x),), TAKE, e)
         explored[x] = True
         pos = x
@@ -432,5 +432,5 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
         total_cost=sum(map(g.weight, steps.edge), Fraction(0)),
         taken_boundary=EdgeSubset(g, taken),
         delta=params.delta,
-        blocker_records={e: tuple(sorted(s)) for e, s in records.items()},
+        blocker_records=records,
     )

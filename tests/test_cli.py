@@ -86,15 +86,11 @@ class TestBoundFormulas:
 
 
 class TestAlgorithmSpec:
-    def test_labels(self):
-        assert AlgorithmSpec("blocking", Fraction(1, 2)).label == "blocking[1/2]"
-        assert AlgorithmSpec("blocking", "log2n").label == "blocking[log2n]"
-        assert AlgorithmSpec("nearest_neighbor").label == "nearest_neighbor"
-
-    def test_json_round_trip(self):
-        for a in (AlgorithmSpec("blocking", Fraction(5)), AlgorithmSpec("blocking", "log2n"),
-                  AlgorithmSpec("nearest_neighbor")):
-            assert AlgorithmSpec.from_json_dict(a.to_json_dict()) == a
+    def test_from_json_dict(self):
+        parse = AlgorithmSpec.from_json_dict
+        assert parse({"name": "blocking", "delta": "5/2"}) == AlgorithmSpec("blocking", Fraction(5, 2))
+        assert parse({"name": "blocking", "delta": "log2n"}) == AlgorithmSpec("blocking", "log2n")
+        assert parse({"name": "nearest_neighbor"}) == AlgorithmSpec("nearest_neighbor")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -514,6 +510,41 @@ class TestCliErrors:
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
         assert main(["explore", "--instance", COMB, "--delta", "2", "--jobs", jobs]) == 2
         assert "jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [2.7, True, "4"])
+    def test_config_jobs_must_be_an_int(self, tmp_path, capsys, jobs):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"instances": [json.loads(COMB)], "jobs": jobs}), encoding="utf-8")
+        assert main(["explore", "--config", str(p), "--delta", "2"]) == 2
+        assert "jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("explore", ["--delta", "0"]),
+        ("explore", ["--delta", "2", "--delta", "-1"]),
+        ("spanner", ["--epsilon", "-1"]),
+        ("verify", ["--delta", "1", "--epsilon", "0"]),
+    ])
+    def test_non_positive_flag_parameter_runs_no_task(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "rows.csv"
+        assert main([command, "--instance", COMB, *flags, "--out", str(out)]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("algorithms", [{"name": "blocking", "delta": "2"}, {"name": "blocking", "delta": "0"}]),
+        ("algorithms", [{"name": "blocking", "delta": "-1/2"}]),
+        ("epsilons", ["1/2", "0"]),
+        ("epsilons", ["-3"]),
+    ])
+    def test_non_positive_config_parameter_runs_no_task(self, tmp_path, capsys, key, value):
+        p = tmp_path / "cfg.json"
+        out = tmp_path / "rows.csv"
+        p.write_text(json.dumps({
+            "instances": [json.loads(COMB)], key: value, "output": {"path": str(out)},
+        }), encoding="utf-8")
+        assert main(["verify", "--config", str(p)]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_wants_exactly_one_instance(self):
         assert main(["gen", "--instance", COMB, "--instance", PLANAR]) == 2

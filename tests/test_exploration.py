@@ -715,7 +715,7 @@ class _CheckedEngine(_Engine):
         # an edge still on the boundary and known to be blocked is filed
         # under its first witness, which still blocks it
         for e in range(self.g.edge_count):
-            if not (self.known[e] and st_.on_boundary(e)):
+            if not (e in self.wit and st_.on_boundary(e)):
                 continue
             x = self.wit[e][0]
             assert not st_.explored[x] and e in self.filed[x]
@@ -826,7 +826,7 @@ class TestTraversalSteps:
         log = run_blocking(g, ExplorationParams(delta=2))
         expected = json.loads((DATA / "comb_k3_d2.log.json").read_text(encoding="utf-8"))
         assert log.to_json_dict() == expected
-        assert log.blocker_records == {8: (4, 5, 6, 7, 8), 9: (5, 7, 8), 10: (8,)}
+        assert log.blocker_records == {4: (8,), 5: (8, 9), 6: (8,), 7: (8, 9), 8: (8, 9, 10)}
 
 
 def test_log_memory_per_step_and_record():

@@ -35,6 +35,25 @@ def as_fraction(w) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(w).__name__}: {w!r}")
 
 
+def positive(x, name: str) -> Fraction:
+    """as_fraction(x), which must be positive: a delta or an epsilon."""
+    f = as_fraction(x)
+    if f <= 0:
+        raise ValueError(f"{name} must be positive, got {f}")
+    return f
+
+
+def allowances(g: Graph, factor: Fraction) -> list[int]:
+    """factor * w(e) for every edge e of g, scaled and floored.
+
+    For an integer a, a <= factor * w(e) exactly when a <= allowances[e],
+    so every test of a scaled length against (1+x) * w(e) is one int
+    comparison with an entry of this list.
+    """
+    p, q = factor.numerator, factor.denominator
+    return [p * w // q for w in g._iw]
+
+
 class Graph:
     """Immutable undirected multigraph; parallel edges allowed, self-loops not.
 

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import as_fraction, minimum_spanning_tree, restrict
+from .core import as_fraction, minimum_spanning_tree, positive, restrict
 from .errors import ParseError
 from .exploration import (
     ExplorationParams,
@@ -72,11 +72,12 @@ def resolve_delta(expr, n: int) -> Fraction:
 
 
 def competitive_bound(delta: Fraction, genus: int | None) -> Fraction | None:
-    """Cost/w(MST) bound 2(d+2)(1+2/d)(1+2g/(1+d)) for known-genus families."""
+    """Cost/w(MST) bound 2(d+2) * lightness_bound(d, genus): Blocking costs
+    at most 2(2+d) w(B), and B union MST_B is a minimal (1+d)-spanner of
+    itself, so its weight over w(MST) obeys the lightness bound."""
     if genus is None:
         return None
-    d = as_fraction(delta)
-    return 2 * (d + 2) * (1 + Fraction(2) / d) * (1 + Fraction(2 * genus) / (1 + d))
+    return 2 * (as_fraction(delta) + 2) * lightness_bound(delta, genus)
 
 
 def lightness_bound(epsilon: Fraction, genus: int | None) -> Fraction | None:
@@ -95,9 +96,7 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.name == "blocking":
             if self.delta != "log2n":
-                object.__setattr__(self, "delta", as_fraction(self.delta))
-                if self.delta <= 0:
-                    raise ValueError(f"delta must be positive, got {self.delta}")
+                object.__setattr__(self, "delta", positive(self.delta, "delta"))
         elif self.name == "nearest_neighbor":
             if self.delta is not None:
                 raise ValueError("nearest_neighbor takes no delta")
@@ -127,10 +126,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.instances:
             raise ValueError("config needs at least one instance")
-        self.epsilons = [as_fraction(e) for e in self.epsilons]
-        for e in self.epsilons:
-            if e <= 0:
-                raise ValueError(f"epsilon must be positive, got {e}")
+        self.epsilons = [positive(e, "epsilon") for e in self.epsilons]
         known = set(EXPLORE_CHECKS + SPANNER_CHECKS)
         bad = set(self.checks) - known
         if bad:

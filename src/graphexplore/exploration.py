@@ -86,8 +86,9 @@ from .core import (
     INF,
     EdgeSubset,
     Graph,
-    as_fraction,
+    allowances,
     mst_maximizing_overlap,
+    positive,
     require_connected,
 )
 from .errors import (
@@ -108,9 +109,7 @@ class ExplorationParams:
     verify_invariants: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        object.__setattr__(self, "delta", positive(self.delta, "delta"))
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +381,11 @@ def is_blocked(state: ExplorationState, g: Graph, eid: int, delta):
         raise ValueError("state belongs to a different graph")
     if not state.on_boundary(eid):
         raise StateError(f"edge {eid} is not a boundary edge")
-    d = as_fraction(delta)
-    if d <= 0:
-        raise ValueError(f"delta must be positive, got {d}")
-    one_plus = 1 + d
-    w = g._iw[eid]
+    d = positive(delta, "delta")
     mn = state.min_boundary_weight_scaled()
-    if mn is None or mn >= w:
+    if mn is None or mn >= g._iw[eid]:
         return False, set()
-    radius = one_plus.numerator * w // one_plus.denominator
+    radius = allowances(g, 1 + d)[eid]
     dist, leaves = _ball(state, state.src[eid], radius)
     blockers = _blocking_witnesses(state, dist, leaves, eid, radius)
     return bool(blockers), set(blockers)
@@ -603,8 +598,10 @@ class _Engine:
     none.  holders[v] lists the sources whose ball holds the unexplored v as
     a leaf; a dropped ball's entries are skipped where they are read.
     _unbuilt is a max-heap of the sources still without a ball, by u's
-    heaviest boundary weight w when pushed, as the int key -w * n + u; a
-    key only overstates w, since u's boundary edges only leave.
+    heaviest boundary weight w, as the int key -w * n + u.  The key stays
+    exact while u has boundary edges: _queue(u) runs just before a select,
+    which either builds u's ball or finds every boundary edge of u as light
+    as the lightest one, and u's boundary edges only leave.
 
     A boundary edge e is known to be blocked (fact 4) while wit has an
     entry for it: wit[e] lists the witnesses its last blocked check found,
@@ -622,13 +619,10 @@ class _Engine:
         require_connected(g, "run_blocking")
         self.g = g
         self.params = params
-        one_plus = 1 + params.delta
-        two_plus = 2 + params.delta
-        self.p1, self.q1 = one_plus.numerator, one_plus.denominator
-        self.p2, self.q2 = two_plus.numerator, two_plus.denominator
-        p1, q1 = self.p1, self.q1
-        # bnd[e]: the blocking radius (1+delta) w(e), scaled and floored
-        self.bnd = [p1 * w // q1 for w in g._iw]
+        # bnd[e]: the blocking radius (1+delta) w(e); back[e]: the return
+        # allowance (2+delta) w(e); both scaled and floored
+        self.bnd = allowances(g, 1 + params.delta)
+        self.back = allowances(g, 2 + params.delta)
         n = g.n
         self.balls: list = [None] * n
         self.leaves: list = [None] * n
@@ -661,16 +655,11 @@ class _Engine:
         n = self.g.n
         cut = -mn * n  # keys below it have w > mn
         while heap and heap[0] < cut:
-            key = heappop(heap)
-            u = key % n
+            u = heappop(heap) % n
             lst = self.state.out[u]
             if not lst:
                 continue
-            w = max(map(self.g._iw.__getitem__, lst))
-            if w < -(key // n):
-                heappush(heap, -w * n + u)
-                continue
-            radius = self.p1 * w // self.q1
+            radius = max(map(self.bnd.__getitem__, lst))
             dist = _empty_ball(n, radius)
             dist[u] = 0
             self.balls[u], self.leaves[u], self.radius[u] = dist, [], radius
@@ -934,7 +923,7 @@ class _Engine:
         searches.
         """
         st = self.state
-        radius = self.p2 * self.g._iw[entered_by] // self.q2
+        radius = self.back[entered_by]
         if approach is None:
             _walk(st, self.steps, to, RETURN, entered_by, radius)
             return
@@ -1002,14 +991,12 @@ class CostChainReport:
 def verify_cost_chain(g: Graph, log: TraversalLog, delta) -> CostChainReport:
     """Check the per-edge charge decomposition and the total cost bound.
 
-    Sums run over the graph's scaled integer weights; (1+delta) = p/q bounds
-    are compared as a*q <= p*w.
+    Sums run over the graph's scaled integer weights, and each edge's
+    approach and return charges are compared with its allowances.
     """
-    d = as_fraction(delta)
-    one_plus = 1 + d
+    d = positive(delta, "delta")
     two_plus = 2 + d
-    p1, q1 = one_plus.numerator, one_plus.denominator
-    p2, q2 = two_plus.numerator, two_plus.denominator
+    one, two = allowances(g, 1 + d), allowances(g, two_plus)
     iw = g._iw
     scale = g._scale
     w_b = log.taken_boundary.weight()
@@ -1030,15 +1017,14 @@ def verify_cost_chain(g: Graph, log: TraversalLog, delta) -> CostChainReport:
         slot[charged_to] = slot.get(charged_to, 0) + w
     approach, take, ret = slots  # in ROLES order
     for eid in log.taken_boundary:
-        wi = iw[eid]
         ai, ti, ri = approach.get(eid, 0), take.get(eid, 0), ret.get(eid, 0)
         w = g.weight(eid)
-        if ai * q1 > p1 * wi:
-            why = f"approach {Fraction(ai, scale)} > (1+delta)w = {one_plus * w}"
+        if ai > one[eid]:
+            why = f"approach {Fraction(ai, scale)} > (1+delta)w = {(1 + d) * w}"
             failures.append({"edge": eid, "why": why})
-        if ti != wi:
+        if ti != iw[eid]:
             failures.append({"edge": eid, "why": f"take {Fraction(ti, scale)} != w = {w}"})
-        if ri * q2 > p2 * wi:
+        if ri > two[eid]:
             why = f"return {Fraction(ri, scale)} > (2+delta)w = {two_plus * w}"
             failures.append({"edge": eid, "why": why})
     step_sum = Fraction(total, scale)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Graph, as_fraction
+from .core import Graph, as_fraction, positive
 from .errors import (
     DegenerateCombWarning,
     GenerationError,
@@ -51,9 +51,7 @@ def gen_comb_lower_bound(k: int, delta) -> Graph:
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive int, got {k!r}")
-    d = as_fraction(delta)
-    if d <= 0:
-        raise ValueError(f"delta must be positive, got {d}")
+    d = positive(delta, "delta")
     heavy = Fraction(k + 1) / (d + 1)
     if heavy <= 1:
         warnings.warn(
@@ -478,10 +476,13 @@ class InstanceSpec:
             raise ParseError(f"instance spec has unknown keys {', '.join(unknown)}: {d!r}")
         if "family" not in d:
             raise ValueError(f"instance spec needs a 'family': {d!r}")
+        seed = d.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"instance seed must be an int, got {seed!r}")
         return cls(
             family=d["family"],
             params=dict(d.get("params", {})),
-            seed=int(d.get("seed", 0)),
+            seed=seed,
         )
 
     @property

@@ -20,13 +20,16 @@ from .core import (
     Graph,
     _dijkstra,
     _within,
+    allowances,
     as_fraction,
     fundamental_cycle,
     minimum_spanning_tree,
+    positive,
     require_connected,
 )
 from .errors import ResourceGuardError
 from .exploration import APPROACH, RETURN, TAKE, TraversalLog, TraversalSteps
+from .spanner import lightness
 
 TSP_MAX_N = 15
 REFERENCE_MAX_N = 16
@@ -144,20 +147,16 @@ def brute_force_optspan_edges(g: Graph, epsilon) -> EdgeSubset:
     edges), so each test is one bounded search per removed edge.  Guarded
     to m <= 20.
     """
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    eps = positive(epsilon, "epsilon")
     require_connected(g, "brute_force_optspan")
     m = g.edge_count
     if m > OPTSPAN_MAX_M:
         raise ResourceGuardError(
             f"brute_force_optspan guarded to m <= {OPTSPAN_MAX_M} (got {m})"
         )
-    one_plus = 1 + eps
-    p, q = one_plus.numerator, one_plus.denominator
     iw = g._iw
     ends = g._edges
-    allowance = [p * w // q for w in iw]
+    allowance = allowances(g, 1 + eps)
     removable = sorted(range(m), key=lambda e: -iw[e])
     all_ids = frozenset(range(m))
     total_w = sum(iw)
@@ -203,11 +202,10 @@ def brute_force_optspan_edges(g: Graph, epsilon) -> EdgeSubset:
 def brute_force_optspan(g: Graph, epsilon) -> Fraction:
     """Minimum lightness over all spanning (1+eps)-spanner subgraphs; exact.
 
-    Thin wrapper over brute_force_optspan_edges; same m <= 20 guard.
+    Thin wrapper over brute_force_optspan_edges; same m <= 20 guard.  A
+    zero MST weight raises DegenerateInstanceError, as in spanner.lightness.
     """
-    best = brute_force_optspan_edges(g, epsilon)
-    mst_w = minimum_spanning_tree(g).weight()
-    return best.weight() / mst_w
+    return lightness(g, brute_force_optspan_edges(g, epsilon))
 
 
 @dataclass

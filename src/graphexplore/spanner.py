@@ -15,8 +15,9 @@ from .core import (
     EdgeSubset,
     Graph,
     _within,
-    as_fraction,
+    allowances,
     minimum_spanning_tree,
+    positive,
     require_connected,
     restrict,  # unused here; the benchmark's tracer wraps spanner.restrict
 )
@@ -42,12 +43,9 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     edge's allowance, so no distance is found exactly here: the spanner's
     maximum stretch is verify_spanner_stretch's max_ratio.
     """
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    eps = positive(epsilon, "epsilon")
     require_connected(g, "greedy_spanner")
-    one_plus = 1 + eps
-    p, q = one_plus.numerator, one_plus.denominator
+    allowance = allowances(g, 1 + eps)
     m = g.edge_count
     iw = g._iw
     ends = g._edges
@@ -56,7 +54,7 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     for eid in sorted(range(m), key=lambda e: (iw[e], e)):
         u, v = ends[eid]
         w = iw[eid]
-        if _within(hadj, u, v, p * w // q, exact=False) is None:
+        if _within(hadj, u, v, allowance[eid], exact=False) is None:
             # distance exceeds (1+eps) * w: keep
             hadj[u].append((v, eid, w))
             hadj[v].append((u, eid, w))
@@ -112,13 +110,10 @@ def verify_spanner_stretch(g: Graph, h: EdgeSubset, epsilon) -> StretchReport:
     zero-weight edge's endpoints at distance zero.  The cost is local to
     each edge's allowance, so there is no size guard.
     """
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    one_plus = 1 + positive(epsilon, "epsilon")
     if h.parent is not g:
         raise ValueError("subset belongs to a different graph")
-    one_plus = 1 + eps
-    p, q = one_plus.numerator, one_plus.denominator
+    allowance = allowances(g, one_plus)
     iw = g._iw
     ids = h.ids
     hadj = [[t for t in row if t[1] in ids] for row in g._adj]
@@ -131,7 +126,7 @@ def verify_spanner_stretch(g: Graph, h: EdgeSubset, epsilon) -> StretchReport:
             continue  # the edge itself is a path of ratio 1
         w = iw[eid]
         pair = (u, v) if u < v else (v, u)
-        d = _within(hadj, u, v, p * w // q, exact=False)
+        d = _within(hadj, u, v, allowance[eid], exact=False)
         if w == 0:
             if d is None:
                 violations.append({"pair": pair, "why": "zero g-distance, positive h-distance"})
@@ -178,20 +173,16 @@ def verify_spanner_minimality(g: Graph, h: EdgeSubset, epsilon) -> MinimalityRep
     taken edges of a blocking run plus their MST this is the long-cycle
     property: every cycle C of the subgraph has w(C - e) > (1+eps) w(e).
     """
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    one_plus = 1 + positive(epsilon, "epsilon")
     if h.parent is not g:
         raise ValueError("subset belongs to a different graph")
-    one_plus = 1 + eps
-    p, q = one_plus.numerator, one_plus.denominator
-    iw = g._iw
+    allowance = allowances(g, one_plus)
     ids = h.ids
     hadj = [[t for t in row if t[1] in ids] for row in g._adj]
     violations = []
     for eid in sorted(ids):
         u, v = g._edges[eid]
-        d = _within(hadj, u, v, p * iw[eid] // q, skip=eid)
+        d = _within(hadj, u, v, allowance[eid], skip=eid)
         if d is not None:
             violations.append(
                 {"edge": eid, "detour": str(Fraction(d, g._scale)), "allowed": str(one_plus * g.weight(eid))}

@@ -518,6 +518,16 @@ class TestCliErrors:
         assert main(["explore", "--config", str(p), "--delta", "2"]) == 2
         assert "jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [2.7, True, "4"])
+    @pytest.mark.parametrize("command,flags", [("gen", []), ("explore", ["--delta", "2"])])
+    def test_instance_seed_must_be_an_int(self, tmp_path, capsys, seed, command, flags):
+        # no coercion: 2.7, true and "4" once built seeds 2, 1 and 4
+        spec = json.dumps({"family": "random_planar", "params": {"points": 6}, "seed": seed})
+        out = tmp_path / "out.txt"
+        assert main([command, "--instance", spec, *flags, "--out", str(out)]) == 2
+        assert "seed must be an int" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flags", [
         ("explore", ["--delta", "0"]),
         ("explore", ["--delta", "2", "--delta", "-1"]),

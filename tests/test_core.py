@@ -12,6 +12,7 @@ from graphexplore.core import (
     Graph,
     _dijkstra,
     _within,
+    allowances,
     as_fraction,
     connected_components,
     fundamental_cycle,
@@ -23,6 +24,17 @@ from graphexplore.core import (
     shortest_path_distances,
 )
 from graphexplore.errors import GraphStructureError
+from graphexplore.experiments import AlgorithmSpec, ExperimentConfig
+from graphexplore.exploration import (
+    ExplorationParams,
+    ExplorationState,
+    is_blocked,
+    run_blocking,
+    verify_cost_chain,
+)
+from graphexplore.instances import InstanceSpec, gen_comb_lower_bound
+from graphexplore.oracle import brute_force_optspan_edges
+from graphexplore.spanner import greedy_spanner, verify_spanner_minimality, verify_spanner_stretch
 
 from conftest import random_connected_graph
 
@@ -354,3 +366,53 @@ def test_scaled_weights_are_exact(weights):
     scale = g._scale
     for e, w in enumerate(weights):
         assert g._iw[e] == int(w * scale)
+
+
+@given(
+    st.lists(st.fractions(min_value=0, max_value=50, max_denominator=60), max_size=12),
+    st.fractions(min_value=Fraction(1, 60), max_value=20, max_denominator=60),
+)
+def test_allowances_floor_exactly(weights, factor):
+    # mixed denominators, and always a zero weight: the entry is the largest
+    # scaled length within factor * w(e), so a length passes exactly when it
+    # is at most the entry
+    weights = weights + [Fraction(0)]
+    g = Graph(len(weights) + 1, [(0, i + 1, w) for i, w in enumerate(weights)])
+    scale = g._scale
+    limits = allowances(g, factor)
+    assert len(limits) == g.edge_count
+    for e, w in enumerate(weights):
+        a = limits[e]
+        assert Fraction(a, scale) <= factor * w < Fraction(a + 1, scale)
+
+
+# every entry point that takes a delta or an epsilon, by the name its error
+# uses; each is called with a comb k=3 and a run on it
+POSITIVE_ENTRY_POINTS = {
+    "ExplorationParams": ("delta", lambda g, log, x: ExplorationParams(delta=x)),
+    "is_blocked": ("delta", lambda g, log, x: is_blocked(ExplorationState.initial(g, 0), g, 0, x)),
+    "gen_comb_lower_bound": ("delta", lambda g, log, x: gen_comb_lower_bound(3, x)),
+    "AlgorithmSpec": ("delta", lambda g, log, x: AlgorithmSpec("blocking", x)),
+    "ExperimentConfig": (
+        "epsilon",
+        lambda g, log, x: ExperimentConfig(instances=[InstanceSpec("grid")], epsilons=[x]),
+    ),
+    "greedy_spanner": ("epsilon", lambda g, log, x: greedy_spanner(g, x)),
+    "verify_spanner_stretch": ("epsilon", lambda g, log, x: verify_spanner_stretch(g, log.taken_boundary, x)),
+    "verify_spanner_minimality": (
+        "epsilon",
+        lambda g, log, x: verify_spanner_minimality(g, log.taken_boundary, x),
+    ),
+    "brute_force_optspan_edges": ("epsilon", lambda g, log, x: brute_force_optspan_edges(g, x)),
+    "verify_cost_chain": ("delta", lambda g, log, x: verify_cost_chain(g, log, x)),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("entry", sorted(POSITIVE_ENTRY_POINTS))
+def test_non_positive_parameter_is_rejected(entry, value):
+    name, call = POSITIVE_ENTRY_POINTS[entry]
+    g = gen_comb_lower_bound(3, 2)
+    log = run_blocking(g, ExplorationParams(delta=2, verify_invariants=False))
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+        call(g, log, value)

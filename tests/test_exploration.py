@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -13,6 +14,7 @@ from graphexplore.core import (
     INF,
     EdgeSubset,
     Graph,
+    allowances,
     shortest_path_distances,
 )
 from graphexplore.errors import (
@@ -380,6 +382,71 @@ class TestCostChain:
         assert_closed_walk(g, log, 0)
 
 
+def _forged(log: TraversalLog, change=lambda s: s, **fields) -> TraversalLog:
+    """A copy of log with every step passed through change and the given
+    fields replaced."""
+    steps = TraversalSteps()
+    for s in map(change, log.steps):
+        steps.add_path([(s.edge, s.source, s.dest)], s.role, s.charged_to)
+    return dataclasses.replace(log, steps=steps, **fields)
+
+
+class TestCostChainVerdicts:
+    """Forged logs of the comb k=3 at delta=2 reach every failure of
+    verify_cost_chain.  Scale 3: spine edges and light teeth weigh 1, three
+    units; the heavy teeth 8, 9 and 10 weigh 4/3, four units."""
+
+    @pytest.fixture
+    def run(self):
+        g = gen_comb_lower_bound(3, 2)
+        log = run_blocking(g, ExplorationParams(delta=2, verify_invariants=False))
+        assert verify_cost_chain(g, log, 2).ok
+        return g, log
+
+    def test_step_charged_to_an_untaken_edge(self, run):
+        g, log = run
+        bogus = _forged(log, taken_boundary=EdgeSubset(g, log.taken_boundary.ids - {10}))
+        rep = verify_cost_chain(g, bogus, 2)
+        charged = [s.edge for s in log.steps if s.charged_to == 10]
+        assert len(charged) == 10
+        assert rep.failures == [{"edge": e, "why": "charged to an untaken edge"} for e in charged]
+
+    def test_take_of_the_wrong_weight(self, run):
+        g, log = run
+        # heavy tooth 10 is logged as taken over spine edge 4
+        def change(s):
+            return s._replace(edge=4) if s.role == "take-boundary" and s.charged_to == 10 else s
+
+        bogus = _forged(log, change, total_cost=log.total_cost - Fraction(1, 3))
+        rep = verify_cost_chain(g, bogus, 2)
+        assert rep.failures == [{"edge": 10, "why": "take 1 != w = 4/3"}]
+
+    def test_charges_at_their_allowance_pass_and_one_unit_more_fails(self, run):
+        g, log = run
+        # heavy tooth 10's approach (7, 2, 3, 4) and return (10, 4, 3, 2, 7)
+        # sit exactly at (1+delta) w = 4 and (2+delta) w = 16/3
+        for role, factor in (("approach", 3), ("return", 4)):
+            charge = sum(g._iw[s.edge] for s in log.steps if s.charged_to == 10 and s.role == role)
+            assert charge == allowances(g, Fraction(factor))[10]
+        # one step of each over spine edge 4 becomes one over heavy tooth 8,
+        # one scaled unit heavier
+        for role, why in (
+            ("approach", "approach 13/3 > (1+delta)w = 4"),
+            ("return", "return 17/3 > (2+delta)w = 16/3"),
+        ):
+            def change(s):
+                return s._replace(edge=8) if s.role == role and s.charged_to == 10 and s.edge == 4 else s
+
+            bogus = _forged(log, change, total_cost=log.total_cost + Fraction(1, 3))
+            rep = verify_cost_chain(g, bogus, 2)
+            assert rep.failures == [{"edge": 10, "why": why}]
+
+    def test_total_that_is_not_the_step_sum(self, run):
+        g, log = run
+        rep = verify_cost_chain(g, _forged(log, total_cost=log.total_cost + 1), 2)
+        assert rep.failures == [{"why": "step sum 48 != logged total 49"}]
+
+
 class TestCycleProperty:
     def test_tree_vacuous(self):
         g = gen_comb_lower_bound(4, 2)
@@ -685,6 +752,13 @@ class _CheckedEngine(_Engine):
         eid = super()._select(v)
         st_ = self.state
         mn = st_.min_boundary_weight_scaled()
+        # a source still waiting for its ball is keyed by its heaviest
+        # boundary weight exactly, as long as it has a boundary edge
+        n = self.g.n
+        for key in self._unbuilt:
+            lst = st_.out[key % n]
+            if lst:
+                assert -(key // n) == max(self.g._iw[e] for e in lst)
         for u in range(self.g.n):
             if st_.explored[u] and st_.out[u]:
                 heavy = max(self.g._iw[e] for e in st_.out[u])

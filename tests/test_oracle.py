@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphexplore.core import INF, EdgeSubset, Graph, minimum_spanning_tree, shortest_path_distances
-from graphexplore.errors import GraphStructureError, ResourceGuardError
+from graphexplore.errors import DegenerateInstanceError, GraphStructureError, ResourceGuardError
 from graphexplore.oracle import (
     _stretch_ok_all_pairs,
     brute_force_exploration,
@@ -16,7 +16,7 @@ from graphexplore.oracle import (
     exact_tsp,
     mst_bounds,
 )
-from graphexplore.spanner import verify_spanner_minimality
+from graphexplore.spanner import greedy_spanner, verify_spanner_minimality
 
 from conftest import random_connected_graph
 
@@ -252,6 +252,15 @@ class TestOptspan:
         g = Graph(2, [(0, 1, 1)] * 21)
         with pytest.raises(ResourceGuardError):
             brute_force_optspan(g, 1)
+
+    def test_zero_mst_weight_is_degenerate(self):
+        # lightness is undefined on the all-zero triangle, here as in the
+        # greedy spanner; the optimal edge set itself is still found
+        g = Graph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
+        assert brute_force_optspan_edges(g, 1).weight() == 0
+        for lightness_of in (brute_force_optspan, greedy_spanner):
+            with pytest.raises(DegenerateInstanceError, match="MST weight is zero"):
+                lightness_of(g, 1)
 
     def test_optimum_at_most_any_feasible_weight(self, rng):
         # sanity against a hand-rolled feasible candidate: the whole graph

@@ -69,7 +69,7 @@ def _check_out_path(path: str | None) -> None:
         raise FileNotFoundError(f"output directory {str(out.parent)!r} does not exist")
 
 
-def _build_config(args, need: str) -> ExperimentConfig:
+def _build_config(args) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_json_dict(
             json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -101,14 +101,16 @@ def _build_config(args, need: str) -> ExperimentConfig:
     if args.format:
         changes["out_format"] = args.format
     config = replace(config, **changes)
-    if need == "explore" and not config.algorithms:
-        raise ValueError("explore needs --delta or config algorithms")
-    if need == "spanner" and not config.epsilons:
-        raise ValueError("spanner needs --epsilon or config epsilons")
-    if need == "verify" and not (config.algorithms or config.epsilons):
-        raise ValueError("verify needs algorithms and/or epsilons")
     _check_out_path(config.out_path)
     return config
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write `text` to the file at `path`, or to stdout when there is none."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(rows: list[dict], columns, config: ExperimentConfig) -> None:
@@ -120,10 +122,7 @@ def _emit(rows: list[dict], columns, config: ExperimentConfig) -> None:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    if config.out_path:
-        Path(config.out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(text, config.out_path)
 
 
 def _finish(rows, columns, config) -> int:
@@ -137,17 +136,17 @@ def _finish(rows, columns, config) -> int:
 
 
 def _cmd_explore(args) -> int:
-    config = _build_config(args, "explore")
+    config = _build_config(args)
     return _finish(run_explore(config), EXPLORE_COLUMNS, config)
 
 
 def _cmd_spanner(args) -> int:
-    config = _build_config(args, "spanner")
+    config = _build_config(args)
     return _finish(run_spanner(config), SPANNER_COLUMNS, config)
 
 
 def _cmd_verify(args) -> int:
-    config = _build_config(args, "verify")
+    config = _build_config(args)
     return _finish(run_verify(config), VERIFY_COLUMNS, config)
 
 
@@ -171,10 +170,7 @@ def _cmd_gen(args) -> int:
         text = json.dumps(doc, indent=2) + "\n"
     else:
         text = graph_to_text(built.graph)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 

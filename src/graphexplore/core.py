@@ -62,7 +62,7 @@ class Graph:
     it check it themselves.
     """
 
-    __slots__ = ("n", "_edges", "_weights", "_scale", "_iw", "_adj")
+    __slots__ = ("n", "_edges", "_weights", "_scale", "_iw", "_adj", "_mst")
 
     def __init__(self, vertex_count: int, edges):
         if not isinstance(vertex_count, int) or vertex_count < 1:
@@ -93,6 +93,7 @@ class Graph:
             adj[u].append((v, eid, w))
             adj[v].append((u, eid, w))
         self._adj = tuple(tuple(a) for a in adj)
+        self._mst = None
 
     @property
     def edge_count(self) -> int:
@@ -350,9 +351,12 @@ def _kruskal(g: Graph, sort_key) -> EdgeSubset:
 
 
 def minimum_spanning_tree(g: Graph) -> EdgeSubset:
-    """Kruskal MST; ties between equal weights go to the smaller edge id."""
-    iw = g._iw
-    return _kruskal(g, lambda e: (iw[e], e))
+    """Kruskal MST; ties between equal weights go to the smaller edge id.
+    g is immutable, so the tree is built once and kept in g._mst."""
+    if g._mst is None:
+        iw = g._iw
+        g._mst = _kruskal(g, lambda e: (iw[e], e))
+    return g._mst
 
 
 def mst_maximizing_overlap(g: Graph, preferred: EdgeSubset) -> EdgeSubset:

@@ -429,6 +429,8 @@ def run_spanner(config: ExperimentConfig) -> list[dict]:
 
 
 def run_verify(config: ExperimentConfig) -> list[dict]:
+    if not (config.algorithms or config.epsilons):
+        raise ValueError("verify needs at least one algorithm or epsilon")
     tasks = [(s, config) for s in config.instances]
     rows = _run_tasks(_verify_task, VERIFY_COLUMNS, tasks, config.jobs)
     rows.sort(key=lambda r: (r["instance"], r["check"], r["param"]))

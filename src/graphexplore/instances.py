@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Graph, as_fraction, positive
+from .core import Graph, as_fraction, is_connected, positive
 from .errors import (
     DegenerateCombWarning,
     GenerationError,
@@ -28,9 +28,16 @@ _RAND_DENOM = 2**20
 _PLANAR_DENOM = 2**30
 
 
-def _rand_weight(rng) -> Fraction:
-    """Seeded rational in [1, 2], denominator 2**20."""
-    return Fraction(_RAND_DENOM + int(rng.integers(0, _RAND_DENOM + 1)), _RAND_DENOM)
+def _weights(mode: str, seed: int):
+    """A generator seeded with `seed`, and a function that gives the next
+    edge weight: 1 for mode "unit", and for "uniform" a rational in [1, 2]
+    with denominator 2**20 drawn from that generator."""
+    if mode not in ("unit", "uniform"):
+        raise ValueError(f"unknown weight mode {mode!r}")
+    rng = np.random.default_rng(seed)
+    if mode == "unit":
+        return rng, lambda: Fraction(1)
+    return rng, lambda: Fraction(_RAND_DENOM + int(rng.integers(0, _RAND_DENOM + 1)), _RAND_DENOM)
 
 
 def gen_comb_lower_bound(k: int, delta) -> Graph:
@@ -311,16 +318,13 @@ def gen_toroidal_grid(p: int, q: int, weights: str = "uniform", seed: int = 0) -
     """
     if p < 3 or q < 3:
         raise ValueError(f"need p, q >= 3 to avoid parallel edges, got {p}x{q}")
-    if weights not in ("unit", "uniform"):
-        raise ValueError(f"unknown weight mode {weights!r}")
-    rng = np.random.default_rng(seed)
+    _, weight = _weights(weights, seed)
     edges = []
     for i in range(p):
         for j in range(q):
             here = i * q + j
             for other in (i * q + (j + 1) % q, ((i + 1) % p) * q + j):
-                w = Fraction(1) if weights == "unit" else _rand_weight(rng)
-                edges.append((here, other, w))
+                edges.append((here, other, weight()))
     return Graph(p * q, edges)
 
 
@@ -328,19 +332,15 @@ def gen_grid(p: int, q: int, weights: str = "unit", seed: int = 0) -> Graph:
     """Plain p x q grid (no wraparound); weights as in gen_toroidal_grid."""
     if p < 1 or q < 1 or p * q < 2:
         raise ValueError(f"grid {p}x{q} too small")
-    if weights not in ("unit", "uniform"):
-        raise ValueError(f"unknown weight mode {weights!r}")
-    rng = np.random.default_rng(seed)
+    _, weight = _weights(weights, seed)
     edges = []
     for i in range(p):
         for j in range(q):
             here = i * q + j
             if j + 1 < q:
-                w = Fraction(1) if weights == "unit" else _rand_weight(rng)
-                edges.append((here, here + 1, w))
+                edges.append((here, here + 1, weight()))
             if i + 1 < p:
-                w = Fraction(1) if weights == "unit" else _rand_weight(rng)
-                edges.append((here, here + q, w))
+                edges.append((here, here + q, weight()))
     return Graph(p * q, edges)
 
 
@@ -348,14 +348,11 @@ def gen_random_tree(n: int, seed: int = 0, weights: str = "uniform") -> Graph:
     """Random recursive tree: vertex i attaches to a uniform earlier vertex."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if weights not in ("unit", "uniform"):
-        raise ValueError(f"unknown weight mode {weights!r}")
-    rng = np.random.default_rng(seed)
+    rng, weight = _weights(weights, seed)
     edges = []
     for i in range(1, n):
         parent = int(rng.integers(0, i))
-        w = Fraction(1) if weights == "unit" else _rand_weight(rng)
-        edges.append((parent, i, w))
+        edges.append((parent, i, weight()))
     return Graph(n, edges)
 
 
@@ -370,18 +367,13 @@ def gen_erdos_renyi(n: int, p, seed: int = 0, weights: str = "uniform") -> Graph
     pf = float(Fraction(p))  # accepts "1/2" strings from JSON specs
     if not (0 < pf <= 1):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
-    if weights not in ("unit", "uniform"):
-        raise ValueError(f"unknown weight mode {weights!r}")
-    rng = np.random.default_rng(seed)
-    from .core import is_connected
-
+    rng, weight = _weights(weights, seed)
     for _ in range(50):
         edges = []
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < pf:
-                    w = Fraction(1) if weights == "unit" else _rand_weight(rng)
-                    edges.append((u, v, w))
+                    edges.append((u, v, weight()))
         g = Graph(n, edges)
         if is_connected(g):
             return g
@@ -454,13 +446,47 @@ def read_graph(path) -> Graph:
 # instance specs: a JSON-friendly description that builds a concrete instance
 
 
+# family -> (required params, optional params, the genus of every graph it
+# builds or None for unknown, its builder from (params, seed) to the graph)
+FAMILIES = {
+    "comb_lower_bound": (("k", "delta"), (), 0, lambda p, s: gen_comb_lower_bound(
+        int(p["k"]), as_fraction(p["delta"]))),
+    "random_planar": (("points",), (), 0, lambda p, s: gen_random_planar(int(p["points"]), s)),
+    "toroidal_grid": (("p", "q"), ("weights",), 1, lambda p, s: gen_toroidal_grid(
+        int(p["p"]), int(p["q"]), p.get("weights", "uniform"), s)),
+    "grid": (("p", "q"), ("weights",), 0, lambda p, s: gen_grid(
+        int(p["p"]), int(p["q"]), p.get("weights", "unit"), s)),
+    "random_tree": (("n",), ("weights",), 0, lambda p, s: gen_random_tree(
+        int(p["n"]), s, p.get("weights", "uniform"))),
+    "erdos_renyi": (("n", "p"), ("weights",), None, lambda p, s: gen_erdos_renyi(
+        int(p["n"]), p["p"], s, p.get("weights", "uniform"))),
+    # "start" is the walk's start vertex, which is 0 in every other family
+    "file": (("path",), ("start",), None, lambda p, s: read_graph(p["path"])),
+}
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Serializable description of one instance: family, parameters, seed."""
+    """Serializable description of one instance: family, parameters, seed.
+
+    Making one is its one check: the family is in FAMILIES, the params are
+    its required ones plus any of its optional ones, and the seed is an int
+    >= 0; else ValueError.  The generators check the params' values.
+    """
 
     family: str
     params: dict = field(default_factory=dict)
     seed: int = 0
+
+    def __post_init__(self):
+        if not (isinstance(self.family, str) and self.family in FAMILIES):
+            raise ValueError(f"unknown instance family {self.family!r}; known: {', '.join(FAMILIES)}")
+        required, optional, _, _ = FAMILIES[self.family]
+        if not set(required) <= set(self.params) <= {*required, *optional}:
+            raise ValueError(f"instance family {self.family!r} needs params {list(required)} and may"
+                             f" have {list(optional)}, got {sorted(self.params)}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"instance seed must be an int >= 0, got {self.seed!r}")
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": dict(self.params), "seed": self.seed}
@@ -474,16 +500,7 @@ class InstanceSpec:
         unknown = sorted(d.keys() - {"family", "params", "seed"})
         if unknown:
             raise ParseError(f"instance spec has unknown keys {', '.join(unknown)}: {d!r}")
-        if "family" not in d:
-            raise ValueError(f"instance spec needs a 'family': {d!r}")
-        seed = d.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"instance seed must be an int, got {seed!r}")
-        return cls(
-            family=d["family"],
-            params=dict(d.get("params", {})),
-            seed=seed,
-        )
+        return cls(family=d.get("family"), params=dict(d.get("params", {})), seed=d.get("seed", 0))
 
     @property
     def label(self) -> str:
@@ -504,27 +521,6 @@ class BuiltInstance:
 
 def build_instance(spec: InstanceSpec) -> BuiltInstance:
     """Materialize a spec; same spec always gives an identical graph."""
-    fam = spec.family
-    p = spec.params
-    if fam == "comb_lower_bound":
-        g = gen_comb_lower_bound(int(p["k"]), as_fraction(p["delta"]))
-        return BuiltInstance(g, 0, spec, genus=0)
-    if fam == "random_planar":
-        g = gen_random_planar(int(p["points"]), spec.seed)
-        return BuiltInstance(g, 0, spec, genus=0)
-    if fam == "toroidal_grid":
-        g = gen_toroidal_grid(int(p["p"]), int(p["q"]), p.get("weights", "uniform"), spec.seed)
-        return BuiltInstance(g, 0, spec, genus=1)
-    if fam == "grid":
-        g = gen_grid(int(p["p"]), int(p["q"]), p.get("weights", "unit"), spec.seed)
-        return BuiltInstance(g, 0, spec, genus=0)
-    if fam == "random_tree":
-        g = gen_random_tree(int(p["n"]), spec.seed, p.get("weights", "uniform"))
-        return BuiltInstance(g, 0, spec, genus=0)
-    if fam == "erdos_renyi":
-        g = gen_erdos_renyi(int(p["n"]), p["p"], spec.seed, p.get("weights", "uniform"))
-        return BuiltInstance(g, 0, spec, genus=None)
-    if fam == "file":
-        g = read_graph(p["path"])
-        return BuiltInstance(g, int(p.get("start", 0)), spec, genus=None)
-    raise ValueError(f"unknown instance family {fam!r}")
+    _, _, genus, build = FAMILIES[spec.family]
+    g = build(spec.params, spec.seed)
+    return BuiltInstance(g, int(spec.params.get("start", 0)), spec, genus=genus)

@@ -37,6 +37,19 @@ GRID = '{"family": "grid", "params": {"p": 3, "q": 3}}'
 BAD_COMB = '{"family": "comb_lower_bound", "params": {"k": 0, "delta": "2"}}'
 
 
+# a spec the spec check rejects, the extra flags that make it bad, and a
+# phrase of the error
+BAD_SPECS = {
+    "unknown family": ({"family": "moebius", "params": {}}, [], "unknown instance family 'moebius'"),
+    "missing param": ({"family": "grid", "params": {"p": 3}}, [], "needs params ['p', 'q']"),
+    "unknown param": (
+        {"family": "toroidal_grid", "params": {"p": 3, "q": 3, "weight": "unit"}}, [], "'weight'"
+    ),
+    "negative seed": (json.loads(GRID) | {"seed": -1}, [], "seed must be an int >= 0, got -1"),
+    "negative --seed": (json.loads(GRID), ["--seed", "-1"], "seed must be an int >= 0, got -1"),
+}
+
+
 def spec_of(text: str) -> InstanceSpec:
     return InstanceSpec.from_json_dict(json.loads(text))
 
@@ -184,6 +197,10 @@ class TestExploreRows:
         (row,) = run_explore(cfg)
         assert row["delta"] == str(dyadic_log2(25))
 
+    def test_algorithm_required(self):
+        with pytest.raises(ValueError, match="explore needs at least one algorithm"):
+            run_explore(ExperimentConfig(instances=[spec_of(COMB)]))
+
     def test_parallel_matches_serial(self):
         instances = [spec_of(COMB), spec_of(PLANAR)]
         algos = [AlgorithmSpec("blocking", Fraction(2))]
@@ -250,6 +267,10 @@ class TestVerifyRows:
         }
         for r in rows:
             assert set(r) == set(VERIFY_COLUMNS)
+
+    def test_parameter_required(self):
+        with pytest.raises(ValueError, match="verify needs at least one algorithm or epsilon"):
+            run_verify(ExperimentConfig(instances=[spec_of(COMB)]))
 
     def test_permutation_check_skipped_when_large(self):
         cfg = ExperimentConfig(
@@ -526,6 +547,37 @@ class TestCliErrors:
         out = tmp_path / "out.txt"
         assert main([command, "--instance", spec, *flags, "--out", str(out)]) == 2
         assert "seed must be an int" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", sorted(BAD_SPECS))
+    @pytest.mark.parametrize("command,flags,source", [
+        ("gen", [], "--instance"),
+        ("explore", ["--delta", "2"], "--instance"),
+        ("explore", ["--delta", "2"], "--config"),
+        ("spanner", ["--epsilon", "1/2"], "--instance"),
+        ("spanner", ["--epsilon", "1/2"], "--config"),
+        ("verify", ["--delta", "2"], "--instance"),
+        ("verify", ["--delta", "2"], "--config"),
+    ])
+    def test_bad_spec_runs_no_task(self, tmp_path, capsys, monkeypatch, command, flags, source, bad):
+        # the spec check runs when a spec is made, from --instance, from a
+        # config file or by --seed, so a bad one is a usage error (exit 2)
+        batch = "build_instance" if command == "gen" else f"run_{command}"
+
+        def never(*args):
+            raise AssertionError(f"{batch} ran")
+
+        monkeypatch.setattr(cli, batch, never)
+        spec, extra, message = BAD_SPECS[bad]
+        if source == "--instance":
+            given = ["--instance", json.dumps(spec)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"instances": [spec]}), encoding="utf-8")
+            given = ["--config", str(cfg)]
+        out = tmp_path / "out.txt"
+        assert main([command, *given, *extra, *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flags", [

@@ -34,7 +34,12 @@ from graphexplore.exploration import (
 )
 from graphexplore.instances import InstanceSpec, gen_comb_lower_bound
 from graphexplore.oracle import brute_force_optspan_edges
-from graphexplore.spanner import greedy_spanner, verify_spanner_minimality, verify_spanner_stretch
+from graphexplore.spanner import (
+    greedy_spanner,
+    verify_mst_containment,
+    verify_spanner_minimality,
+    verify_spanner_stretch,
+)
 
 from conftest import random_connected_graph
 
@@ -232,6 +237,18 @@ class TestFundamentalCycle:
         with pytest.raises(ValueError):
             fundamental_cycle(g, EdgeSubset(g, {0, 1}), 1)
 
+    @pytest.mark.parametrize("tree,eid,match", [
+        ({0}, 2, "not a spanning tree: 1 edges for 3 vertices"),
+        ({0, 1, 2}, 3, "not a spanning tree: 3 edges for 3 vertices"),
+        ({0, 3}, 2, "not a spanning tree: contains a cycle"),
+        ({0, 1}, 4, "edge id 4 out of range"),
+        ({0, 1}, -1, "edge id -1 out of range"),
+    ])
+    def test_bad_tree_or_edge_rejected(self, tree, eid, match):
+        g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 1, 2)])
+        with pytest.raises(ValueError, match=match):
+            fundamental_cycle(g, EdgeSubset(g, tree), eid)
+
     def test_cycle_closes(self, rng):
         for _ in range(10):
             g = random_connected_graph(rng, 8, 5)
@@ -250,6 +267,18 @@ class TestSubsetAndRestrict:
         g = Graph(2, [(0, 1, 1)])
         with pytest.raises(ValueError):
             EdgeSubset(g, {3})
+
+    @pytest.mark.parametrize("call", [
+        lambda g, h: verify_spanner_stretch(g, h, 1),
+        lambda g, h: verify_mst_containment(g, h),
+        lambda g, h: restrict(g, h),
+        lambda g, h: mst_maximizing_overlap(g, h),
+    ], ids=["verify_spanner_stretch", "verify_mst_containment", "restrict", "mst_maximizing_overlap"])
+    def test_subset_of_another_graph_rejected(self, call):
+        g = Graph(2, [(0, 1, 1)])
+        other = Graph(2, [(0, 1, 1)])
+        with pytest.raises(ValueError, match="different graph"):
+            call(g, EdgeSubset(other, {0}))
 
     def test_restrict_keeps_weights(self):
         g = Graph(3, [(0, 1, Fraction(1, 3)), (1, 2, 2), (0, 2, 5)])
@@ -395,7 +424,7 @@ POSITIVE_ENTRY_POINTS = {
     "AlgorithmSpec": ("delta", lambda g, log, x: AlgorithmSpec("blocking", x)),
     "ExperimentConfig": (
         "epsilon",
-        lambda g, log, x: ExperimentConfig(instances=[InstanceSpec("grid")], epsilons=[x]),
+        lambda g, log, x: ExperimentConfig(instances=[InstanceSpec("grid", {"p": 2, "q": 2})], epsilons=[x]),
     ),
     "greedy_spanner": ("epsilon", lambda g, log, x: greedy_spanner(g, x)),
     "verify_spanner_stretch": ("epsilon", lambda g, log, x: verify_spanner_stretch(g, log.taken_boundary, x)),

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from graphexplore.errors import (
 )
 from graphexplore.instances import (
     _delaunay_edges,
+    FAMILIES,
     BuiltInstance,
     InstanceSpec,
     build_instance,
@@ -266,6 +268,12 @@ class TestFileFormat:
             "2 2\n0 1 1 1\n",            # fewer edges than declared
             "1 0\ngarbage\n",            # trailing garbage
             "2 1\n0 1 1 1\n0 1 1 1\n",   # more edges than declared
+            "2 one\n0 1 1 1\n",          # non-int header
+            "0 0\n",                     # no vertices
+            "2 -1\n",                    # negative edge count
+            "2 1\n0 1 1 x\n",            # non-int edge line
+            "",                          # empty file
+            "# only a comment\n",        # no header
         ],
     )
     def test_parse_errors(self, tmp_path, text):
@@ -333,6 +341,60 @@ class TestInstanceSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             build_instance(InstanceSpec("nosuch", {}))
+
+    @pytest.mark.parametrize("family,params,seed,match", [
+        ("moebius", {}, 0, "unknown instance family 'moebius'"),
+        (None, {}, 0, "unknown instance family None"),
+        (["grid"], {}, 0, r"unknown instance family \['grid'\]"),
+        ("grid", {"p": 3}, 0, r"needs params \['p', 'q'\]"),
+        ("comb_lower_bound", {"k": 3}, 0, r"got \['k'\]"),
+        ("toroidal_grid", {"p": 3, "q": 3, "weight": "unit"}, 0, r"may have \['weights'\]"),
+        ("random_planar", {"points": 6, "weights": "unit"}, 0, r"may have \[\]"),
+        ("file", {"path": "g.edges", "seed": 1}, 0, "'seed'"),
+        ("random_planar", {"points": 6}, -1, "seed must be an int >= 0, got -1"),
+        ("random_planar", {"points": 6}, True, "seed must be an int"),
+        ("random_planar", {"points": 6}, 2.7, "seed must be an int"),
+        ("random_planar", {"points": 6}, "4", "seed must be an int"),
+    ])
+    def test_bad_spec_is_rejected_when_made(self, family, params, seed, match):
+        # every way a spec is made runs the one check: the constructor,
+        # the JSON parser and dataclasses.replace
+        with pytest.raises(ValueError, match=match):
+            InstanceSpec(family, params, seed)
+        with pytest.raises(ValueError, match=match):
+            InstanceSpec.from_json_dict({"family": family, "params": params, "seed": seed})
+        good = InstanceSpec("random_planar", {"points": 6})
+        with pytest.raises(ValueError, match=match):
+            replace(good, family=family, params=params, seed=seed)
+
+    def test_required_params_suffice_and_optional_ones_pass(self):
+        for fam, (required, optional, _, _) in FAMILIES.items():
+            params = dict.fromkeys(required, 1)
+            assert InstanceSpec(fam, params).params == params
+            assert InstanceSpec(fam, {**params, **dict.fromkeys(optional, 1)}, seed=2**70).seed == 2**70
+
+    def test_missing_family_key_is_an_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown instance family None"):
+            InstanceSpec.from_json_dict({"params": {"points": 6}})
+
+    @pytest.mark.parametrize("family,params,match", [
+        ("toroidal_grid", {"p": 3, "q": 3, "weights": "heavy"}, "unknown weight mode 'heavy'"),
+        ("grid", {"p": 2, "q": 2, "weights": "heavy"}, "unknown weight mode 'heavy'"),
+        ("random_tree", {"n": 3, "weights": "heavy"}, "unknown weight mode 'heavy'"),
+        ("erdos_renyi", {"n": 3, "p": "1", "weights": "heavy"}, "unknown weight mode 'heavy'"),
+        ("grid", {"p": 1, "q": 1}, "grid 1x1 too small"),
+        ("grid", {"p": 0, "q": 5}, "grid 0x5 too small"),
+        ("random_tree", {"n": 0}, "n must be positive, got 0"),
+        ("erdos_renyi", {"n": 1, "p": "1"}, "n must be >= 2, got 1"),
+        ("erdos_renyi", {"n": 5, "p": "0"}, r"must be in \(0, 1\], got 0"),
+        ("erdos_renyi", {"n": 5, "p": "3/2"}, r"must be in \(0, 1\], got 3/2"),
+        ("comb_lower_bound", {"k": 0, "delta": "2"}, "k must be a positive int, got 0"),
+    ])
+    def test_bad_param_values_fail_at_build(self, family, params, match):
+        # the spec check passes them; the generator rejects the value
+        spec = InstanceSpec(family, params)
+        with pytest.raises(ValueError, match=match):
+            build_instance(spec)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1))

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from graphexplore.core import INF, EdgeSubset, Graph, minimum_spanning_tree, shortest_path_distances
 from graphexplore.errors import DegenerateInstanceError, GraphStructureError, ResourceGuardError
+from graphexplore.exploration import ExplorationParams
 from graphexplore.oracle import (
+    REFERENCE_MAX_N,
     _stretch_ok_all_pairs,
     brute_force_exploration,
     brute_force_optspan,
@@ -15,6 +17,7 @@ from graphexplore.oracle import (
     enumerate_cycles_check,
     exact_tsp,
     mst_bounds,
+    reference_blocking,
 )
 from graphexplore.spanner import greedy_spanner, verify_spanner_minimality
 
@@ -212,6 +215,12 @@ class TestPermutationCrossCheck:
         with pytest.raises(ResourceGuardError):
             brute_force_exploration(g)
 
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_start_out_of_range(self, start):
+        g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(ValueError, match=f"start {start} out of range"):
+            brute_force_exploration(g, start)
+
     def test_sandwich(self, rng):
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 8))
@@ -219,6 +228,14 @@ class TestPermutationCrossCheck:
             cost = exact_tsp(g).cost
             assert lo <= cost <= hi
             assert hi == 2 * lo == 2 * minimum_spanning_tree(g).weight()
+
+
+def test_reference_blocking_size_guard():
+    path = Graph(REFERENCE_MAX_N, [(i, i + 1, 1) for i in range(REFERENCE_MAX_N - 1)])
+    assert reference_blocking(path, ExplorationParams(delta=2)).total_cost == 2 * (REFERENCE_MAX_N - 1)
+    longer = Graph(REFERENCE_MAX_N + 1, [(i, i + 1, 1) for i in range(REFERENCE_MAX_N)])
+    with pytest.raises(ResourceGuardError, match=f"n <= {REFERENCE_MAX_N}"):
+        reference_blocking(longer, ExplorationParams(delta=2))
 
 
 class TestOptspan:

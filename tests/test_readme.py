@@ -10,6 +10,7 @@ import pytest
 
 from graphexplore.cli import main
 from graphexplore.experiments import ExperimentConfig
+from graphexplore.instances import FAMILIES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
@@ -44,3 +45,12 @@ def test_readme_configs_parse():
     assert CONFIGS
     for block in CONFIGS:
         assert ExperimentConfig.from_json_dict(json.loads(block)).instances
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_readme_lists_each_family_with_its_params(family):
+    required, optional, _, _ = FAMILIES[family]
+    listed = ", ".join(f"`{k}`" for k in required)
+    if optional:
+        listed += "; optional " + ", ".join(f"`{k}`" for k in optional)
+    assert f"`{family}` ({listed})" in " ".join(TEXT.split())

@@ -16,7 +16,7 @@ from graphexplore.errors import (
     GraphStructureError,
 )
 import graphexplore.experiments as experiments
-from graphexplore.experiments import SPANNER_CHECKS, spanner_row
+from graphexplore.experiments import SPANNER_CHECKS, AlgorithmSpec, spanner_row
 from graphexplore.instances import (
     BuiltInstance,
     InstanceSpec,
@@ -165,6 +165,26 @@ class TestLightness:
         row = spanner_row(built, Fraction(1, 2), ())
         assert len(calls) == 1
         assert row["mst_weight"] == str(res.mst_weight)
+
+    def test_mst_is_built_once_per_graph(self, monkeypatch):
+        # g keeps its tree: greedy_spanner and the containment check of a
+        # row share one Kruskal run, and later rows on g reuse it
+        import graphexplore.core as core
+
+        runs = []
+        real = core._kruskal
+
+        def counting(g, sort_key):
+            runs.append(g)
+            return real(g, sort_key)
+
+        monkeypatch.setattr(core, "_kruskal", counting)
+        built = build_instance(InstanceSpec("grid", {"p": 4, "q": 4, "weights": "uniform"}, 2))
+        spanner_row(built, Fraction(1, 2), SPANNER_CHECKS)
+        assert runs == [built.graph]
+        spanner_row(built, Fraction(2), SPANNER_CHECKS)
+        experiments.explore_row(built, AlgorithmSpec("nearest_neighbor"), ())
+        assert runs == [built.graph]
 
 
 class TestStretchVerifier:

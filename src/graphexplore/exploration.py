@@ -22,7 +22,7 @@ The engine only ever reads adjacency of explored vertices.  The state
 counts every adjacency read, and the Dijkstra kernel raises if it is asked
 to expand an unexplored vertex.
 
-Five exact facts let the engine skip work without changing any decision:
+Six exact facts let the engine skip work without changing any decision:
 
 1. Edges into an unexplored v leave the boundary only when v is explored,
    so minw[v], the lightest boundary edge into v, can only fall while v is
@@ -38,6 +38,14 @@ Five exact facts let the engine skip work without changing any decision:
    R_u only shrinks.  Only an edge heavier than the lightest boundary edge
    can be blocked or recorded, so a source needs its ball only while its
    heaviest boundary edge is heavier than that; balls are built then.
+   Ball u improves at x when d_u(z) + d(z, x) is within R_u and below its
+   entry for x.  Before z, u's entry for x was at most its entry for an
+   explored p plus w(p, x), so if u does not improve at a tight parent p
+   of x, one with d(z, p) + w(p, x) = d(z, x), it does not improve at x
+   either: a ball that improves at x improves at every tight parent of x.
+   One Dijkstra from z can therefore repair all the balls that held z:
+   each vertex it settles checks only the balls that improved at its
+   parent, and it expands only vertices where some ball improved.
 4. Distances only shrink and minw only falls, so a witness v' of e, once
    valid, stays valid while e is on the boundary and v' is unexplored.
    The lookup over the balls holding v', run just before v' is explored,
@@ -55,15 +63,29 @@ Five exact facts let the engine skip work without changing any decision:
    no path passes through v, and if the approach path was the only
    shortest path, the way back is v's first lightest edge to y and then
    the approach reversed: the path a search from v finds.
+6. A ball may start from upper bounds instead of from nothing.  Let seed
+   s be an explored vertex with a ball, c_s >= d(u, s) the length of a
+   walk from u to s, and R_s + c_s >= R_u.  Label every x in s's ball with
+   the least c_s + d_s(x) over the seeds; each is a walk's length.  A
+   decrease-only search from u then makes every label within R_u exact.
+   Take x within R_u and a shortest path from u to x.  If the search
+   expanded every vertex before x on it at its exact distance, x's label
+   is exact.  Else take the first vertex v it did not: v's predecessor
+   was expanded, so v's label is exact, and it never fell, so a seed s
+   gave it: c_s + d_s(v) = d(u, v).  Then d_s(x) <= d_s(v) + d(v, x) =
+   d(u, x) - c_s <= R_u - c_s <= R_s, so s's ball holds x exactly and x's
+   label is at most c_s + d_s(x) <= d(u, x).  The engine seeds a new ball
+   from its explored neighbours, with c_s = w(u, s).
 
-One grow loop builds and repairs the balls.  One Dijkstra kernel serves
-the walks, the nearest-neighbour baseline and is_blocked's ball.  It
-pushes only explored vertices onto its heap and keeps tentative distances
-of unexplored leaves in a dict: a path may end at a leaf but never passes
-through one.  Both loops read the graph's own adjacency rows, the one
-form of the explored graph, and tell an explored neighbour from a leaf by
-the explored flag.  They expand explored vertices only and count every
-expansion as an adjacency read.
+One grow loop builds the balls and repairs a vertex that few balls hold;
+one shared search (fact 3) repairs a vertex that many hold.  One Dijkstra
+kernel serves the walks, the nearest-neighbour baseline and is_blocked's
+ball.  It pushes only explored vertices onto its heap and keeps tentative
+distances of unexplored leaves in a dict: a path may end at a leaf but
+never passes through one.  All three read the graph's own adjacency
+rows, the one form of the explored graph, and tell an explored neighbour
+from a leaf by the explored flag.  They expand explored vertices only and
+count every expansion as an adjacency read.
 
 Two verifiers check a finished run.  verify_cost_chain charges every step
 to a taken edge and bounds the charges.  verify_blocking_cycle_property
@@ -395,15 +417,14 @@ def _blocking_witnesses(state: ExplorationState, dist, leaves: list[int], eid: i
     """The blocking predicate for boundary edge eid, over its source's ball.
 
     dist and leaves are the ball of eid's explored endpoint (see _ball),
-    whose radius is at least `radius`, eid's scaled blocking radius.  Every
-    unexplored leaf v' within `radius` whose lightest boundary edge minw[v']
-    is lighter than eid blocks it; returns them.  eid itself is never the
-    lightest edge at a witness, so it needs no exclusion (fact 2 of the
-    module docstring).  Explored vertices are dropped from leaves in place.
+    whose radius is at least `radius`, eid's scaled blocking radius, and
+    leaves holds its unexplored vertices only.  Every leaf v' within
+    `radius` whose lightest boundary edge minw[v'] is lighter than eid
+    blocks it; returns them.  eid itself is never the lightest edge at a
+    witness, so it needs no exclusion (fact 2 of the module docstring).
     """
-    explored, minw = state.explored, state.minw
+    minw = state.minw
     w = state.g._iw[eid]
-    leaves[:] = [v for v in leaves if not explored[v]]
     return [v for v in leaves if dist[v] <= radius and minw[v] < w]
 
 
@@ -590,18 +611,29 @@ def _walk(state: ExplorationState, steps: TraversalSteps, to: int, role: str, ch
 # ---------------------------------------------------------------------------
 # the explorer
 
+# A repair from a newly explored vertex held by at least this many live
+# balls runs one search for all of them (_repair); fewer are repaired one
+# ball at a time (_grow).  The shared search settles every neighbour of
+# each vertex it expands, so it pays only when many balls improve at once.
+SHARED_REPAIR = 32
+
+
 class _Engine:
     """The blocking explorer over one state, with a ball per heavy source.
 
-    balls[u], leaves[u] and radius[u] are the ball of explored u (fact 3 of
-    the module docstring; _grow builds and repairs it), or None while u has
-    none.  holders[v] lists the sources whose ball holds the unexplored v as
-    a leaf; a dropped ball's entries are skipped where they are read.
-    _unbuilt is a max-heap of the sources still without a ball, by u's
-    heaviest boundary weight w, as the int key -w * n + u.  The key stays
-    exact while u has boundary edges: _queue(u) runs just before a select,
-    which either builds u's ball or finds every boundary edge of u as light
-    as the lightest one, and u's boundary edges only leave.
+    balls[u], leaves[u], interior[u] and radius[u] are the ball of explored
+    u (facts 3 and 6 of the module docstring; _build_balls, _grow and
+    _repair keep it), or None while u has none.  leaves[u] lists the
+    unexplored vertices the ball holds, and interior[u] its explored ones,
+    so the two list every vertex the ball has an entry for: a leaf that is
+    explored moves to interior[u] when leaves[u] is next pruned.  holders[v]
+    lists the sources whose ball holds the unexplored v as a leaf; a
+    dropped ball's entries are skipped where they are read.  _unbuilt is a
+    max-heap of the sources still without a ball, by u's heaviest boundary
+    weight w, as the int key -w * n + u.  The key stays exact while u has
+    boundary edges: _queue(u) runs just before a select, which either
+    builds u's ball or finds every boundary edge of u as light as the
+    lightest one, and u's boundary edges only leave.
 
     A boundary edge e is known to be blocked (fact 4) while wit has an
     entry for it: wit[e] lists the witnesses its last blocked check found,
@@ -615,6 +647,9 @@ class _Engine:
     blocker_records.
     """
 
+    # SHARED_REPAIR as an attribute, so that a subclass can lower it
+    shared_repair = SHARED_REPAIR
+
     def __init__(self, g: Graph, params: ExplorationParams):
         require_connected(g, "run_blocking")
         self.g = g
@@ -626,6 +661,7 @@ class _Engine:
         n = g.n
         self.balls: list = [None] * n
         self.leaves: list = [None] * n
+        self.interior: list = [None] * n
         self.radius = [0] * n
         self.holders: list = [[] for _ in range(n)]
         self._unbuilt: list[int] = []
@@ -647,8 +683,9 @@ class _Engine:
 
     def _build_balls(self, mn) -> None:
         """Build the ball of every source whose heaviest boundary edge is
-        heavier than mn, the lightest boundary weight: a grow from the
-        source, at distance 0, on an empty ball."""
+        heavier than mn, the lightest boundary weight: seeded from the
+        balls of its explored neighbours (fact 6), then a grow from the
+        source at distance 0."""
         if mn is None:
             return
         heap = self._unbuilt
@@ -662,8 +699,47 @@ class _Engine:
             radius = max(map(self.bnd.__getitem__, lst))
             dist = _empty_ball(n, radius)
             dist[u] = 0
-            self.balls[u], self.leaves[u], self.radius[u] = dist, [], radius
+            self.balls[u], self.leaves[u], self.interior[u], self.radius[u] = dist, [], [u], radius
+            self._seed(u)
             self._grow(u, (u,))
+
+    def _seed(self, u: int) -> None:
+        """Fill u's new ball with upper bounds from its neighbours' balls.
+
+        A seed is an explored neighbour s with a live ball whose radius R_s
+        reaches R_u - w(u, s), what u needs of it.  Each vertex x that s's
+        ball lists gets the label w(u, s) + d_s(x), the length of a walk
+        u, s, ..., x, when that is within R_u and below its label so far.
+        The grow from u that follows makes every label within R_u exact
+        (fact 6).  A seed wider than twice what u needs is passed over:
+        most of its ball lies beyond R_u, and walking its lists costs more
+        than the expansions it spares.
+        """
+        st = self.state
+        explored, holders = st.explored, self.holders
+        balls, radii = self.balls, self.radius
+        dist, radius = balls[u], radii[u]
+        leaves, inner = self.leaves[u], self.interior[u]
+        for s, _, c in self.g._adj[u]:
+            near = balls[s]
+            need = radius - c
+            if near is None or not need <= radii[s] <= 2 * need:
+                continue
+            for part in (self.interior[s], self.leaves[s]):
+                for x in part:
+                    nd = c + near[x]
+                    if nd > radius:
+                        continue
+                    old = dist[x]
+                    if old < 0:
+                        dist[x] = nd
+                        if explored[x]:
+                            inner.append(x)
+                        else:
+                            leaves.append(x)
+                            holders[x].append(u)
+                    elif nd < old:
+                        dist[x] = nd
 
     def _explore(self, z: int) -> None:
         """Mark z explored and bring every ball and the index up to date.
@@ -673,8 +749,10 @@ class _Engine:
         their last boundary edge.  Every ball that held z is repaired from z
         (fact 3), unless z is a dead end: z, a leaf of that ball, has an
         explored neighbour, so if that is its one neighbour in g no path
-        can pass through z.  The edges filed under z move on (see _Engine).
-        z's own ball waits in _unbuilt.
+        can pass through z.  A long holder list goes to _repair, which
+        repairs its live balls with one search when there are at least
+        shared_repair of them; _grow repairs fewer one at a time.  The edges
+        filed under z move on (see _Engine).  z's own ball waits in _unbuilt.
         """
         st = self.state
         st.mark_explored(z)
@@ -688,7 +766,7 @@ class _Engine:
             if out[u]:
                 self.radius[u] = max(map(bnd.__getitem__, out[u]))
             else:
-                balls[u] = self.leaves[u] = None
+                balls[u] = self.leaves[u] = self.interior[u] = None
         explored, wit, filed = st.explored, self.wit, self.filed
         for eid in filed.pop(z, ()):
             lst = wit[eid]
@@ -704,23 +782,27 @@ class _Engine:
         if held:
             first = row[0][0]
             if any(y != first for y, _, _ in row):
-                self._grow(z, held)
+                if len(held) < self.shared_repair:
+                    self._grow(z, held)
+                else:
+                    self._repair(z, held)
         self._queue(z)
 
     def _grow(self, z: int, held) -> None:
         """Decrease-only searches from explored z of the balls in held.
 
-        The engine's one ball search.  A new ball grows from its source;
-        a ball that held z, just explored, is repaired from z, which keeps
-        its leaf distance as an explored vertex.  A vertex is expanded only
-        when its distance fell, and its row of the adjacency is read once:
-        an explored neighbour is pushed, an unexplored one is a leaf.
-        Nothing beyond the ball's radius enters it.  Every expansion counts
-        one adjacency read, and an unexplored vertex is never expanded.
+        A new ball grows from its source; a ball that held z, just
+        explored, is repaired from z, which keeps its leaf distance as an
+        explored vertex.  A vertex is expanded only when its distance fell,
+        and its row of the adjacency is read once: an explored neighbour is
+        pushed, an unexplored one is a leaf.  Nothing beyond the ball's
+        radius enters it.  Every expansion counts one adjacency read, and
+        an unexplored vertex is never expanded.
         """
         st = self.state
         explored, adj = st.explored, self.g._adj
-        balls, radii, leaves_of, holders = self.balls, self.radius, self.leaves, self.holders
+        balls, radii, holders = self.balls, self.radius, self.holders
+        leaves_of, interior_of = self.leaves, self.interior
         n = len(explored)
         reads = 0
         for u in held:
@@ -731,7 +813,7 @@ class _Engine:
             d = dist[z]
             if d > radius:
                 continue
-            leaves = leaves_of[u]
+            leaves, inner = leaves_of[u], interior_of[u]
             heap: list[int] = []
             y = z
             while True:
@@ -745,9 +827,12 @@ class _Engine:
                         continue
                     old = dist[other]
                     if explored[other]:
-                        if old < 0 or nd < old:
-                            dist[other] = nd
-                            heappush(heap, nd * n + other)
+                        if old < 0:
+                            inner.append(other)
+                        elif nd >= old:
+                            continue
+                        dist[other] = nd
+                        heappush(heap, nd * n + other)
                     elif old < 0:
                         leaves.append(other)
                         holders[other].append(u)
@@ -765,6 +850,94 @@ class _Engine:
                     break
         st.adjacency_reads += reads
 
+    def _repair(self, z: int, held) -> None:
+        """Repair every ball in held from explored z with one search, or
+        with _grow when fewer than shared_repair of them are live and hold
+        z within their radius.
+
+        A Dijkstra from z settles each vertex x at d(z, x) once.  A ball u
+        that held z at D_u improves at x when D_u + d(z, x) is within R_u and
+        below its entry for x.  Every ball that improves at x improves at
+        each tight parent of x too (fact 3), so x checks only the balls that
+        improved at the parent it settled from, and an explored x is
+        expanded only when some ball improved there.  The balls are checked
+        by their slack R_u - D_u, largest first, so the check stops at the
+        first ball whose slack d(z, x) exceeds.  Each expansion counts one
+        adjacency read for all the balls; the entries written are the exact
+        ones the per-ball repair of _grow reaches.
+        """
+        st = self.state
+        explored, adj = st.explored, self.g._adj
+        balls, radii, holders = self.balls, self.radius, self.holders
+        leaves_of, interior_of = self.leaves, self.interior
+        live = []
+        for u in held:
+            dist = balls[u]
+            if dist is not None:
+                d = dist[z]
+                if d <= radii[u]:
+                    live.append((radii[u] - d, d, dist, u))
+        if len(live) < self.shared_repair:
+            self._grow(z, held)
+            return
+        live.sort(key=operator.itemgetter(0), reverse=True)
+        st._gen += 1
+        gen = st._gen
+        done = -gen
+        stamp, dz, pare = st._dj_stamp, st._dj_dist, st._dj_pare
+        n = len(explored)
+        stamp[z] = gen
+        dz[z] = 0
+        improved = {z: live}  # the balls that improved at each expanded vertex
+        heap = [z]
+        reads = 0
+        while heap:
+            key = heappop(heap)
+            x = key % n
+            if stamp[x] == done:
+                continue
+            stamp[x] = done
+            d = key // n
+            if x == z:
+                mine = live
+            else:
+                mine = []
+                for ball in improved[pare[x]]:
+                    slack, base, dist, u = ball
+                    if d > slack:
+                        break
+                    nd = base + d
+                    old = dist[x]
+                    if old < 0:
+                        dist[x] = nd
+                        mine.append(ball)
+                        if explored[x]:
+                            interior_of[u].append(x)
+                        else:
+                            leaves_of[u].append(x)
+                            holders[x].append(u)
+                    elif nd < old:
+                        dist[x] = nd
+                        mine.append(ball)
+                if not mine or not explored[x]:
+                    continue
+                improved[x] = mine
+            reads += 1
+            reach = mine[0][0]
+            for other, _, w in adj[x]:
+                nd = d + w
+                if nd > reach:
+                    continue
+                s = stamp[other]
+                if s == done:
+                    continue
+                if s != gen or nd < dz[other]:
+                    stamp[other] = gen
+                    dz[other] = nd
+                    pare[other] = x
+                    heappush(heap, nd * n + other)
+        st.adjacency_reads += reads
+
     # -- blocking checks ----------------------------------------------------
 
     def _blocked(self, eid: int, mn) -> bool:
@@ -774,13 +947,19 @@ class _Engine:
         it is not.  Otherwise the blocking predicate runs over the ball of
         eid's source, which exists since eid is heavier than mn.  If it
         finds witnesses, eid is known to be blocked and is filed under the
-        first (see _Engine).
+        first (see _Engine).  The source's explored leaves move to its
+        interior first.
         """
         if mn is None or mn >= self.g._iw[eid]:
             return False
         st = self.state
         u = st.src[eid]
-        blockers = _blocking_witnesses(st, self.balls[u], self.leaves[u], eid, self.bnd[eid])
+        leaves, explored = self.leaves[u], st.explored
+        gone = [v for v in leaves if explored[v]]
+        if gone:
+            self.interior[u] += gone
+            leaves[:] = [v for v in leaves if not explored[v]]
+        blockers = _blocking_witnesses(st, self.balls[u], leaves, eid, self.bnd[eid])
         if not blockers:
             return False
         self.wit[eid] = blockers

@@ -469,9 +469,10 @@ FAMILIES = {
 class InstanceSpec:
     """Serializable description of one instance: family, parameters, seed.
 
-    Making one is its one check: the family is in FAMILIES, the params are
-    its required ones plus any of its optional ones, and the seed is an int
-    >= 0; else ValueError.  The generators check the params' values.
+    Making one is its one check: the family is in FAMILIES, params is a
+    dict of its required params plus any of its optional ones, each a
+    number or a string, and the seed is an int >= 0; else ValueError.  The
+    generators check the params' values.
     """
 
     family: str
@@ -482,9 +483,14 @@ class InstanceSpec:
         if not (isinstance(self.family, str) and self.family in FAMILIES):
             raise ValueError(f"unknown instance family {self.family!r}; known: {', '.join(FAMILIES)}")
         required, optional, _, _ = FAMILIES[self.family]
+        if not isinstance(self.params, dict):
+            raise ValueError(f"instance params must be a dict, got {self.params!r}")
         if not set(required) <= set(self.params) <= {*required, *optional}:
             raise ValueError(f"instance family {self.family!r} needs params {list(required)} and may"
                              f" have {list(optional)}, got {sorted(self.params)}")
+        for key, value in self.params.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise ValueError(f"instance param {key!r} must be a number or a string, got {value!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"instance seed must be an int >= 0, got {self.seed!r}")
 
@@ -494,13 +500,16 @@ class InstanceSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "InstanceSpec":
         """Parse a spec object; top-level keys other than family, params and
-        seed are a ParseError."""
+        seed, or params that are not an object, are a ParseError."""
         if not isinstance(d, dict):
             raise ParseError(f"instance spec must be a JSON object: {d!r}")
         unknown = sorted(d.keys() - {"family", "params", "seed"})
         if unknown:
             raise ParseError(f"instance spec has unknown keys {', '.join(unknown)}: {d!r}")
-        return cls(family=d.get("family"), params=dict(d.get("params", {})), seed=d.get("seed", 0))
+        params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise ParseError(f"instance params must be a JSON object: {params!r}")
+        return cls(family=d.get("family"), params=dict(params), seed=d.get("seed", 0))
 
     @property
     def label(self) -> str:

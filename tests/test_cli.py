@@ -47,6 +47,11 @@ BAD_SPECS = {
     ),
     "negative seed": (json.loads(GRID) | {"seed": -1}, [], "seed must be an int >= 0, got -1"),
     "negative --seed": (json.loads(GRID), ["--seed", "-1"], "seed must be an int >= 0, got -1"),
+    "params not an object": ({"family": "grid", "params": [1]}, [], "params must be a JSON object"),
+    "list param": ({"family": "grid", "params": {"p": [3], "q": 3}}, [], "'p' must be a number or a string"),
+    "object param": ({"family": "grid", "params": {"p": 3, "q": {"n": 3}}}, [], "'q' must be a number"),
+    "null param": ({"family": "random_planar", "params": {"points": None}}, [], "'points' must be a number"),
+    "bool param": ({"family": "random_planar", "params": {"points": True}}, [], "'points' must be a number"),
 }
 
 

@@ -638,7 +638,7 @@ def test_engine_matches_reference_definition(seed, delta, shuffled):
     if shuffled:
         g = _renumbered(g, rng)
     params = ExplorationParams(delta=delta, start=rng.randrange(n))
-    log = run_blocking(g, params)
+    log = _blocking_both_ways(g, params)
     ref = reference_blocking(g, params)
     assert [s.edge for s in log.steps if s.role == "take-boundary"] == [
         s.edge for s in ref.steps if s.role == "take-boundary"
@@ -662,7 +662,7 @@ def test_engine_matches_reference_with_zero_weights(seed):
     g = _renumbered(g, rng)
     delta = rng.choice([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)])
     params = ExplorationParams(delta, rng.randrange(n))
-    log = run_blocking(g, params)
+    log = _blocking_both_ways(g, params)
     ref = reference_blocking(g, params)
     assert log.steps == ref.steps and log.blocker_records == ref.blocker_records
 
@@ -712,7 +712,7 @@ _FAMILIES = [
 def test_engine_matches_reference_on_every_family(seed, delta, family):
     g, start = _small_instance(family, random.Random(seed))
     params = ExplorationParams(delta=delta, start=start)
-    log = run_blocking(g, params)
+    log = _blocking_both_ways(g, params)
     ref = reference_blocking(g, params)
     assert log.steps == ref.steps
     assert log.total_cost == ref.total_cost
@@ -735,19 +735,56 @@ def test_weights_beyond_64_bits_match_reference():
         weights = (Fraction(2**61), Fraction(2**63 - 1), Fraction(2**64), Fraction(2**66))
         g = _tied_graph(rng, n, rng.randint(0, 2 * n), weights)
         params = ExplorationParams(delta=Fraction(1, 2), start=rng.randrange(n))
-        log = run_blocking(g, params)
+        log = _blocking_both_ways(g, params)
         ref = reference_blocking(g, params)
         assert log.steps == ref.steps and log.blocker_records == ref.blocker_records
 
 
-class _CheckedEngine(_Engine):
+class _SharedEngine(_Engine):
+    """The engine with every repair of a held vertex going through the
+    shared search, which the small graphs here never reach at the module's
+    threshold; repairs counts the shared searches run, the calls of _repair
+    that did not hand over to _grow."""
+
+    shared_repair = 1
+
+    def __init__(self, g, params):
+        super().__init__(g, params)
+        self.repairs = self.grows = 0
+
+    def _grow(self, z, held):
+        self.grows += 1
+        super()._grow(z, held)
+
+    def _repair(self, z, held):
+        grows = self.grows
+        super()._repair(z, held)
+        self.repairs += self.grows == grows
+
+
+def _blocking_both_ways(g: Graph, params: ExplorationParams) -> TraversalLog:
+    """run_blocking's log, after checking that the engine repairing every
+    held vertex with the shared search writes the same log."""
+    log = run_blocking(g, params)
+    shared = _SharedEngine(g, params).run()
+    assert shared.steps == log.steps and shared.blocker_records == log.blocker_records
+    return log
+
+
+def _members(engine, u):
+    """Every vertex u's ball lists, in its interior or among its leaves."""
+    return sorted(engine.interior[u] + engine.leaves[u])
+
+
+class _CheckedEngine(_SharedEngine):
     """The engine, checking its balls and its witness index against fresh
     searches and the definition as it runs."""
 
     def _select(self, v):
         # after the balls are built, every source whose heaviest boundary
         # edge is heavier than the lightest one has a ball, and every ball
-        # this select built equals a from-scratch search
+        # this select built equals a from-scratch search and lists each
+        # vertex it holds once
         before = list(self.balls)
         eid = super()._select(v)
         st_ = self.state
@@ -768,6 +805,7 @@ class _CheckedEngine(_Engine):
                 fresh, leaves = _ball(st_, u, self.radius[u])
                 assert list(ball) == list(fresh)
                 assert sorted(self.leaves[u]) == sorted(leaves)
+                assert _members(self, u) == [x for x in range(n) if ball[x] >= 0]
                 assert all(u in self.holders[v] for v in leaves)
         return eid
 
@@ -784,6 +822,9 @@ class _CheckedEngine(_Engine):
             assert r == max(self.bnd[e] for e in st_.out[u])
             fresh, leaves = _ball(st_, u, r)
             assert [d if d <= r else -1 for d in ball] == list(fresh)
+            # the interior and the leaves list every entry, explored former
+            # leaves included, which seed the balls built next to u
+            assert _members(self, u) == [x for x in range(self.g.n) if ball[x] >= 0]
             for v in leaves:
                 assert v in self.leaves[u] and u in self.holders[v]
         # an edge still on the boundary and known to be blocked is filed
@@ -804,12 +845,17 @@ def test_balls_stay_exact(family):
     # holds them; every edge known to be blocked waits on a witness that
     # still blocks it
     rng = random.Random(7)
+    repairs = 0
     for _ in range(20):
         g, start = _small_instance(family, rng)
         delta = rng.choice([Fraction(1, 2), Fraction(2), Fraction(5)])
         params = ExplorationParams(delta=delta, start=start)
-        log = _CheckedEngine(g, params).run()
+        engine = _CheckedEngine(g, params)
+        log = engine.run()
         assert log.steps == reference_blocking(g, params).steps
+        repairs += engine.repairs
+    # the shared search ran, so the checks above covered it
+    assert repairs > 0
 
 
 def test_known_blocked_edges_wait_for_their_witness():
@@ -827,6 +873,15 @@ def test_known_blocked_edges_wait_for_their_witness():
     log = Counting(gen_comb_lower_bound(200, delta), ExplorationParams(delta=delta)).run()
     assert log.total_cost == comb_cost(200, delta)
     assert len(calls) <= 1200
+
+
+def test_seeded_builds_and_shared_repairs_read_less():
+    # planar n=512 (seed 0) at delta=log2 n read 179,805 lists when each
+    # ball was built from its source alone and repaired one at a time
+    g = gen_random_planar(512, seed=0)
+    params = ExplorationParams(delta=resolve_delta("log2n", g.n), verify_invariants=False)
+    log = run_blocking(g, params)
+    assert log.verification["access_audit"]["adjacency_reads"] <= 80_000
 
 
 def test_equal_weights_build_no_ball():

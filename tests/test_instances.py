@@ -355,6 +355,10 @@ class TestInstanceSpec:
         ("random_planar", {"points": 6}, True, "seed must be an int"),
         ("random_planar", {"points": 6}, 2.7, "seed must be an int"),
         ("random_planar", {"points": 6}, "4", "seed must be an int"),
+        ("grid", "pq", 0, "instance params must be a (dict|JSON object)"),
+        ("grid", {"p": [3], "q": 3}, 0, "'p' must be a number or a string, got \\[3\\]"),
+        ("random_planar", {"points": True}, 0, "'points' must be a number or a string, got True"),
+        ("random_planar", {"points": None}, 0, "'points' must be a number or a string, got None"),
     ])
     def test_bad_spec_is_rejected_when_made(self, family, params, seed, match):
         # every way a spec is made runs the one check: the constructor,

@@ -42,7 +42,6 @@ from .exploration import (
     TraversalLog,
     TraversalStep,
     TraversalSteps,
-    is_blocked,
     run_blocking,
     run_nearest_neighbor,
     taken_union_mst,
@@ -64,6 +63,7 @@ from .oracle import (
     brute_force_optspan_edges,
     enumerate_cycles_check,
     exact_tsp,
+    is_blocked,
     mst_bounds,
     reference_blocking,
 )

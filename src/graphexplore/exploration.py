@@ -77,15 +77,17 @@ Six exact facts let the engine skip work without changing any decision:
    label is at most c_s + d_s(x) <= d(u, x).  The engine seeds a new ball
    from its explored neighbours, with c_s = w(u, s).
 
-One grow loop builds the balls and repairs a vertex that few balls hold;
-one shared search (fact 3) repairs a vertex that many hold.  One Dijkstra
-kernel serves the walks, the nearest-neighbour baseline and is_blocked's
-ball.  It pushes only explored vertices onto its heap and keeps tentative
-distances of unexplored leaves in a dict: a path may end at a leaf but
-never passes through one.  All three read the graph's own adjacency
-rows, the one form of the explored graph, and tell an explored neighbour
-from a leaf by the explored flag.  They expand explored vertices only and
-count every expansion as an adjacency read.
+The engine alone builds, repairs and reads balls: one grow loop builds
+them and repairs a vertex that few balls hold; one shared search (fact 3)
+repairs a vertex that many hold.  The blocking predicate computed from
+its definition, with no ball, is oracle.is_blocked.  One Dijkstra kernel
+serves the walks and the nearest-neighbour baseline.  It pushes only
+explored vertices onto its heap and keeps tentative distances of
+unexplored leaves in a dict: a path may end at a leaf but never passes
+through one.  The kernel and the ball searches read the graph's own
+adjacency rows, the one form of the explored graph, and tell an explored
+neighbour from a leaf by the explored flag.  They expand explored
+vertices only and count every expansion as an adjacency read.
 
 Two verifiers check a finished run.  verify_cost_chain charges every step
 to a taken edge and bounds the charges.  verify_blocking_cycle_property
@@ -218,10 +220,6 @@ class ExplorationState:
                     minw[other] = w
                 heappush(self._minw_heap, (w, eid))
 
-    def on_boundary(self, eid: int) -> bool:
-        f = self.far[eid]
-        return f >= 0 and not self.explored[f]
-
     def min_boundary_weight_scaled(self) -> int | None:
         heap = self._minw_heap
         far, explored = self.far, self.explored
@@ -242,18 +240,17 @@ def _dijkstra_explored(
     radius=None,
     target=-1,
     stop_leaf=False,
-    want_leaves=False,
     guide=None,
 ):
     """Dijkstra from one explored source whose paths pass through explored
     vertices only.
 
     Each expanded vertex's adjacency row is read once: an explored
-    neighbour is relaxed, and an unexplored one is a leaf whose tentative
-    distance lives in the returned dict (with want_leaves or stop_leaf) and
-    is never expanded.  Returns (settled, leaves): settled lists the
-    explored vertices in settling order, their exact distances in
-    state._dj_dist under this call's stamp.  Parents are always recorded in
+    neighbour is relaxed, and an unexplored one is a leaf: it is never
+    expanded, and with stop_leaf its tentative distance lives in the
+    returned dict.  Returns (settled, leaves): settled lists the explored
+    vertices in settling order, their exact distances in state._dj_dist
+    under this call's stamp.  Parents are always recorded in
     state._dj_pare: the first edge that improved a vertex, for _path_to.
 
     Vertices settle in (distance, id) order.  The search stops before
@@ -295,7 +292,6 @@ def _dijkstra_explored(
             raise InvariantViolation(
                 "approach-guide", witness=(source, target), detail="the guiding ball lacks the start"
             )
-    want_leaves = want_leaves or stop_leaf
     # no key at or beyond `cut` is settled
     cut = INF if radius is None else (radius + 1) * n
     leaves: dict[int, int] = {}
@@ -348,16 +344,15 @@ def _dijkstra_explored(
                     dist[other] = nd
                     pare[other] = eid
                     heappush(heap, nd * n + other)
-            elif want_leaves:
+            elif stop_leaf:
                 nd = d + w
                 old = leaves.get(other)
                 if old is None or nd < old:
                     leaves[other] = nd
                     pare[other] = eid
-                    if stop_leaf:
-                        lk = nd * n + other + 1
-                        if lk < cut:
-                            cut = lk
+                    lk = nd * n + other + 1
+                    if lk < cut:
+                        cut = lk
     state.adjacency_reads += reads
     state._dj_tie = tie
     return settled, leaves
@@ -367,65 +362,6 @@ def _empty_ball(n: int, radius: int):
     """A ball of `radius` that holds nothing yet: n entries of -1, in an
     array('q') when radius < 2**63, else in a list."""
     return array("q", [-1]) * n if radius < 2**63 else [-1] * n
-
-
-def _ball(state: ExplorationState, source: int, radius: int):
-    """The ball of explored `source`: one bounded search of the kernel.
-
-    Returns (dist, leaves).  dist is a flat length-n array of the exact
-    scaled distances from the source to every explored vertex and leaf
-    within `radius`, -1 for every other vertex (see _empty_ball).  leaves
-    lists the unexplored vertices it holds.  A leaf within the radius is
-    reached from an explored vertex within it, which the search settled,
-    so its distance is exact.
-    """
-    settled, found = _dijkstra_explored(state, source, radius=radius, want_leaves=True)
-    dist = _empty_ball(len(state.explored), radius)
-    dj = state._dj_dist
-    for y in settled:
-        dist[y] = dj[y]
-    leaves = []
-    for v, dv in found.items():
-        if dv <= radius:
-            dist[v] = dv
-            leaves.append(v)
-    return dist, leaves
-
-
-def is_blocked(state: ExplorationState, g: Graph, eid: int, delta):
-    """Is boundary edge eid blocked, and by which unexplored endpoints?
-
-    Blocked means: some strictly lighter boundary edge e' = (u', v') has
-    d(u, v') <= (1+delta) * w(eid), with u the explored endpoint of eid.
-    Returns every witness v' found; the state records none of them.
-    """
-    if g is not state.g:
-        raise ValueError("state belongs to a different graph")
-    if not state.on_boundary(eid):
-        raise StateError(f"edge {eid} is not a boundary edge")
-    d = positive(delta, "delta")
-    mn = state.min_boundary_weight_scaled()
-    if mn is None or mn >= g._iw[eid]:
-        return False, set()
-    radius = allowances(g, 1 + d)[eid]
-    dist, leaves = _ball(state, state.src[eid], radius)
-    blockers = _blocking_witnesses(state, dist, leaves, eid, radius)
-    return bool(blockers), set(blockers)
-
-
-def _blocking_witnesses(state: ExplorationState, dist, leaves: list[int], eid: int, radius: int) -> list[int]:
-    """The blocking predicate for boundary edge eid, over its source's ball.
-
-    dist and leaves are the ball of eid's explored endpoint (see _ball),
-    whose radius is at least `radius`, eid's scaled blocking radius, and
-    leaves holds its unexplored vertices only.  Every leaf v' within
-    `radius` whose lightest boundary edge minw[v'] is lighter than eid
-    blocks it; returns them.  eid itself is never the lightest edge at a
-    witness, so it needs no exclusion (fact 2 of the module docstring).
-    """
-    minw = state.minw
-    w = state.g._iw[eid]
-    return [v for v in leaves if dist[v] <= radius and minw[v] < w]
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +637,7 @@ class _Engine:
             dist[u] = 0
             self.balls[u], self.leaves[u], self.interior[u], self.radius[u] = dist, [], [u], radius
             self._seed(u)
-            self._grow(u, (u,))
+            self._grow(u, ((radius, 0, dist, u),))
 
     def _seed(self, u: int) -> None:
         """Fill u's new ball with upper bounds from its neighbours' balls.
@@ -747,12 +683,10 @@ class _Engine:
         The sources that lose their edges into z, z's explored neighbours in
         its adjacency row, shrink their radius, or drop their ball with
         their last boundary edge.  Every ball that held z is repaired from z
-        (fact 3), unless z is a dead end: z, a leaf of that ball, has an
-        explored neighbour, so if that is its one neighbour in g no path
-        can pass through z.  A long holder list goes to _repair, which
-        repairs its live balls with one search when there are at least
-        shared_repair of them; _grow repairs fewer one at a time.  The edges
-        filed under z move on (see _Engine).  z's own ball waits in _unbuilt.
+        (fact 3) by _repair, unless z is a dead end: z, a leaf of that
+        ball, has an explored neighbour, so if that is its one neighbour in
+        g no path can pass through z.  The edges filed under z move on (see
+        _Engine).  z's own ball waits in _unbuilt.
         """
         st = self.state
         st.mark_explored(z)
@@ -782,37 +716,30 @@ class _Engine:
         if held:
             first = row[0][0]
             if any(y != first for y, _, _ in row):
-                if len(held) < self.shared_repair:
-                    self._grow(z, held)
-                else:
-                    self._repair(z, held)
+                self._repair(z, held)
         self._queue(z)
 
-    def _grow(self, z: int, held) -> None:
-        """Decrease-only searches from explored z of the balls in held.
+    def _grow(self, z: int, live) -> None:
+        """Decrease-only searches from explored z, one for each ball in live.
 
-        A new ball grows from its source; a ball that held z, just
-        explored, is repaired from z, which keeps its leaf distance as an
-        explored vertex.  A vertex is expanded only when its distance fell,
-        and its row of the adjacency is read once: an explored neighbour is
-        pushed, an unexplored one is a leaf.  Nothing beyond the ball's
-        radius enters it.  Every expansion counts one adjacency read, and
-        an unexplored vertex is never expanded.
+        live holds (slack, D_u, dist, u) entries: ball u, its entry D_u for
+        z and its slack R_u - D_u.  A new ball grows from its source at
+        D_u = 0; a ball that held z, just explored, is repaired from z,
+        which keeps its leaf distance as an explored vertex.  A vertex is
+        expanded only when its distance fell, and its row of the adjacency
+        is read once: an explored neighbour is pushed, an unexplored one is
+        a leaf.  Nothing beyond the ball's radius enters it.  Every
+        expansion counts one adjacency read, and an unexplored vertex is
+        never expanded.
         """
         st = self.state
         explored, adj = st.explored, self.g._adj
-        balls, radii, holders = self.balls, self.radius, self.holders
+        holders = self.holders
         leaves_of, interior_of = self.leaves, self.interior
         n = len(explored)
         reads = 0
-        for u in held:
-            dist = balls[u]
-            if dist is None:
-                continue
-            radius = radii[u]
-            d = dist[z]
-            if d > radius:
-                continue
+        for slack, d, dist, u in live:
+            radius = slack + d
             leaves, inner = leaves_of[u], interior_of[u]
             heap: list[int] = []
             y = z
@@ -851,9 +778,9 @@ class _Engine:
         st.adjacency_reads += reads
 
     def _repair(self, z: int, held) -> None:
-        """Repair every ball in held from explored z with one search, or
-        with _grow when fewer than shared_repair of them are live and hold
-        z within their radius.
+        """Repair every ball in held from explored z: the live ones, those
+        that still exist and hold z within their radius, with one search,
+        or with _grow when fewer than shared_repair of them are live.
 
         A Dijkstra from z settles each vertex x at d(z, x) once.  A ball u
         that held z at D_u improves at x when D_u + d(z, x) is within R_u and
@@ -878,7 +805,7 @@ class _Engine:
                 if d <= radii[u]:
                     live.append((radii[u] - d, d, dist, u))
         if len(live) < self.shared_repair:
-            self._grow(z, held)
+            self._grow(z, live)
             return
         live.sort(key=operator.itemgetter(0), reverse=True)
         st._gen += 1
@@ -950,7 +877,8 @@ class _Engine:
         first (see _Engine).  The source's explored leaves move to its
         interior first.
         """
-        if mn is None or mn >= self.g._iw[eid]:
+        w = self.g._iw[eid]
+        if mn is None or mn >= w:
             return False
         st = self.state
         u = st.src[eid]
@@ -959,7 +887,11 @@ class _Engine:
         if gone:
             self.interior[u] += gone
             leaves[:] = [v for v in leaves if not explored[v]]
-        blockers = _blocking_witnesses(st, self.balls[u], leaves, eid, self.bnd[eid])
+        # every leaf within eid's radius whose lightest boundary edge is
+        # lighter than eid blocks it; eid itself is never the lightest edge
+        # at a witness, so it needs no exclusion (fact 2)
+        dist, radius, minw = self.balls[u], self.bnd[eid], st.minw
+        blockers = [v for v in leaves if dist[v] <= radius and minw[v] < w]
         if not blockers:
             return False
         self.wit[eid] = blockers

@@ -27,7 +27,7 @@ from .core import (
     positive,
     require_connected,
 )
-from .errors import ResourceGuardError
+from .errors import ResourceGuardError, StateError
 from .exploration import APPROACH, RETURN, TAKE, TraversalLog, TraversalSteps
 from .spanner import lightness
 
@@ -333,66 +333,90 @@ def brute_force_exploration(g: Graph, start: int = 0) -> TourResult:
     return TourResult(cost=Fraction(best[0], g._scale), order=(start, *best[1], start))
 
 
+def explored_distances(g: Graph, explored, u: int) -> list:
+    """Internally explored distances d(u, x), scaled, from explored u.
+
+    explored is a set of vertex ids.  An explored x gets a plain Dijkstra
+    distance over explored-to-explored edges; an unexplored x gets the
+    cheapest d(u, z) + w(z, x) over its explored neighbours z.  Entries
+    with no such path are INF.
+    """
+    du, _ = _dijkstra(g, u, edge_ok=lambda e: explored.issuperset(g.edges[e]))
+    return [
+        du[x] if x in explored else min((du[z] + w for z, _, w in g._adj[x] if z in explored), default=INF)
+        for x in range(g.n)
+    ]
+
+
+def is_blocked(g: Graph, explored, eid: int, delta) -> tuple[bool, set[int]]:
+    """Is boundary edge eid blocked, and by which unexplored vertices?
+
+    The blocking predicate computed from its definition, with no state:
+    explored holds the explored vertex ids, a set or any iterable, and
+    eid = (u, v) has u explored and v not.  An unexplored x blocks eid
+    when some boundary edge into x is strictly lighter than eid and
+    d(u, x) <= (1+delta) * w(eid), with d from explored_distances.  Returns (whether any x blocks eid, the set of
+    them).  A vertex id out of range or not an int raises ValueError, and
+    an edge not on the boundary StateError.
+    """
+    explored = set(explored)
+    for x in explored:
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < g.n:
+            raise ValueError(f"explored vertex {x!r} is not a vertex of g (n={g.n})")
+    if not (0 <= eid < g.edge_count and len(explored.intersection(g.edges[eid])) == 1):
+        raise StateError(f"edge {eid} is not a boundary edge")
+    limit = (1 + positive(delta, "delta")) * g._iw[eid]
+    a, b = g.edges[eid]
+    dist = explored_distances(g, explored, a if a in explored else b)
+    w = g.weight(eid)
+    witnesses = set()
+    for e, (p, q) in enumerate(g.edges):
+        if (p in explored) != (q in explored) and g.weight(e) < w:
+            x = q if p in explored else p
+            if dist[x] <= limit:
+                witnesses.add(x)
+    return bool(witnesses), witnesses
+
+
 def reference_blocking(g: Graph, params) -> TraversalLog:
     """The delta-blocking explorer computed straight from its definition.
 
     Shares no state and no kernel with the engine.  At every select,
-    "blocked" is recomputed over all boundary edges; nothing is cached.  The
-    internally explored distance d(u, x) from explored u to unexplored x is
-    a plain Dijkstra over explored-to-explored edges plus the cheapest edge
-    from an explored vertex into x.  Just before x is explored, the
-    id-ordered tuple of the boundary edges that x blocks is recorded under
-    x, and those records alone re-activate edges at x.  Within each class
-    of candidates the smaller edge id wins.  Walks are shortest paths over
+    "blocked" is is_blocked, recomputed for each candidate; nothing is
+    cached.  Just before x is explored, the id-ordered tuple of the
+    boundary edges that x blocks, by is_blocked, is recorded under x, and
+    those records alone re-activate edges at x.  Within each class of
+    candidates the smaller edge id wins.  Walks are shortest paths over
     explored-to-explored edges, with the (distance, id) settling order and
     first-improvement parents that the engine uses.  Guarded to n <= 16.
     """
     require_connected(g, "reference_blocking")
     if g.n > REFERENCE_MAX_N:
         raise ResourceGuardError(f"reference_blocking guarded to n <= {REFERENCE_MAX_N} (got {g.n})")
-    explored = [False] * g.n
-    explored[params.start] = True
-    one_plus = 1 + params.delta
+    explored = {params.start}
     records: dict[int, tuple[int, ...]] = {}
     steps = TraversalSteps()
     taken: list[int] = []
 
-    def inside(e):
-        a, b = g.edges[e]
-        return explored[a] and explored[b]
-
     def boundary():
         """(edge, explored end, unexplored end) for every boundary edge."""
         return [
-            (e, a, b) if explored[a] else (e, b, a)
+            (e, a, b) if a in explored else (e, b, a)
             for e, (a, b) in enumerate(g.edges)
-            if explored[a] != explored[b]
+            if (a in explored) != (b in explored)
         ]
-
-    def distance(u, x):
-        """d(u, x), scaled, for explored u and unexplored x."""
-        du, _ = _dijkstra(g, u, edge_ok=inside)
-        return min((du[z] + w for z, _, w in g._adj[x] if explored[z]), default=INF)
-
-    def blocks(bnd, x, e, u):
-        """Does unexplored x block boundary edge e whose explored end is u?"""
-        w = g.weight(e)
-        return any(x2 == x and g.weight(e2) < w for e2, _, x2 in bnd) and (
-            distance(u, x) <= one_plus * g._iw[e]
-        )
 
     def select(v):
         bnd = boundary()
         class1 = sorted(e for e, u, _ in bnd if u == v)
         class2 = sorted(e for e, u, _ in bnd if u != v and e in records.get(v, ()))
-        src = {e: u for e, u, _ in bnd}
         for e in class1 + class2:
-            if not any(blocks(bnd, x2, e, src[e]) for _, _, x2 in bnd):
+            if not is_blocked(g, explored, e, params.delta)[0]:
                 return e
         return None
 
     def walk(pos, to, role, charge):
-        _, par = _dijkstra(g, pos, edge_ok=inside)
+        _, par = _dijkstra(g, pos, edge_ok=lambda e: explored.issuperset(g.edges[e]))
         path = []
         while to != pos:
             a, b = g.edges[par[to]]
@@ -412,14 +436,15 @@ def reference_blocking(g: Graph, params) -> TraversalLog:
                 pos = frames[-1][0]
             continue
         a, b = g.edges[e]
-        u, x = (a, b) if explored[a] else (b, a)
+        u, x = (a, b) if a in explored else (b, a)
         walk(pos, u, APPROACH, e)
-        bnd = boundary()
-        blocked = sorted(e2 for e2, u2, x2 in bnd if x2 != x and blocks(bnd, x, e2, u2))
+        blocked = sorted(
+            e2 for e2, _, x2 in boundary() if x2 != x and x in is_blocked(g, explored, e2, params.delta)[1]
+        )
         if blocked:
             records[x] = tuple(blocked)
         steps.add_path(((e, u, x),), TAKE, e)
-        explored[x] = True
+        explored.add(x)
         pos = x
         taken.append(e)
         frames.append((x, e))

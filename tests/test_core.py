@@ -27,13 +27,11 @@ from graphexplore.errors import GraphStructureError
 from graphexplore.experiments import AlgorithmSpec, ExperimentConfig
 from graphexplore.exploration import (
     ExplorationParams,
-    ExplorationState,
-    is_blocked,
     run_blocking,
     verify_cost_chain,
 )
 from graphexplore.instances import InstanceSpec, gen_comb_lower_bound
-from graphexplore.oracle import brute_force_optspan_edges
+from graphexplore.oracle import brute_force_optspan_edges, is_blocked
 from graphexplore.spanner import (
     greedy_spanner,
     verify_mst_containment,
@@ -419,7 +417,7 @@ def test_allowances_floor_exactly(weights, factor):
 # uses; each is called with a comb k=3 and a run on it
 POSITIVE_ENTRY_POINTS = {
     "ExplorationParams": ("delta", lambda g, log, x: ExplorationParams(delta=x)),
-    "is_blocked": ("delta", lambda g, log, x: is_blocked(ExplorationState.initial(g, 0), g, 0, x)),
+    "is_blocked": ("delta", lambda g, log, x: is_blocked(g, {0}, 0, x)),
     "gen_comb_lower_bound": ("delta", lambda g, log, x: gen_comb_lower_bound(3, x)),
     "AlgorithmSpec": ("delta", lambda g, log, x: AlgorithmSpec("blocking", x)),
     "ExperimentConfig": (

@@ -31,11 +31,9 @@ from graphexplore.exploration import (
     TraversalStep,
     TraversalSteps,
     _Engine,
-    _ball,
     _empty_ball,
     _dijkstra_explored,
     _path_to,
-    is_blocked,
     run_blocking,
     run_nearest_neighbor,
     taken_union_mst,
@@ -51,7 +49,7 @@ from graphexplore.instances import (
     gen_toroidal_grid,
     read_graph,
 )
-from graphexplore.oracle import enumerate_cycles_check, reference_blocking
+from graphexplore.oracle import enumerate_cycles_check, explored_distances, is_blocked, reference_blocking
 
 from conftest import random_connected_graph
 
@@ -141,7 +139,7 @@ class TestInternallyExploredDistance:
     def test_zero_for_same_vertex(self):
         g = Graph(2, [(0, 1, 1)])
         st_ = ExplorationState.initial(g, 0)
-        settled, leaves = _dijkstra_explored(st_, 0, want_leaves=True)
+        settled, leaves = _dijkstra_explored(st_, 0, stop_leaf=True)
         assert settled == [0] and st_._dj_dist[0] == 0
         assert leaves == {1: 1}
 
@@ -174,7 +172,7 @@ class TestInternallyExploredDistance:
                 for y, _, w in g._adj[x]:
                     if dist[x] + w == dist[y]:
                         count[y] += count[x]
-            guide, _ = _ball(st_, t, sum(g._iw))
+            guide = explored_distances(g, set(range(n)), t)
             _dijkstra_explored(st_, s, target=t, guide=guide)
             assert _path_to(st_, t) == path
             assert st_._dj_tie == (count[t] > 1)
@@ -186,7 +184,7 @@ class TestInternallyExploredDistance:
         # 0 -- 1 -- 2 with 1 unexplored: no internally explored 0-2 path
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
         st_ = ExplorationState.from_explored(g, [0], 0)
-        _, leaves = _dijkstra_explored(st_, 0, want_leaves=True)
+        _, leaves = _dijkstra_explored(st_, 0, stop_leaf=True)
         assert leaves == {1: 1, 2: 5}  # 2 by its direct edge only
 
 
@@ -227,60 +225,58 @@ def test_state_bookkeeping_after_every_explore(edges, order):
         assert st_.min_boundary_weight_scaled() == min((iw[e] for e in boundary), default=None)
         for e in range(g.edge_count):
             a, b = g.endpoints(e)
-            assert st_.on_boundary(e) == ((a in explored) != (b in explored))
+            f = st_.far[e]
+            assert (f >= 0 and not st_.explored[f]) == ((a in explored) != (b in explored))
         if i < len(order):
             st_.mark_explored(order[i])
 
 
 class TestBlockingPredicate:
-    """Boundary arithmetic on a frozen comb state (spine fully explored)."""
+    """oracle.is_blocked on a comb whose spine is fully explored."""
 
     def setup_method(self):
         self.k, self.delta = 3, Fraction(2)
         self.g = gen_comb_lower_bound(self.k, self.delta)
         # spine vertices are 0..2k-1; lights at 2k..3k-1 attach to 0..k-1,
         # heavies at 3k..4k-1 attach to k..2k-1
-        self.st = ExplorationState.from_explored(self.g, range(2 * self.k), 2 * self.k - 1)
+        self.explored = set(range(2 * self.k))
 
     def test_heavy_blocked_at_exact_equality(self):
         # farthest heavy: nearest light sits at distance exactly k+1 = (1+delta)h
-        blocked, wit = is_blocked(self.st, self.g, 10, self.delta)
+        blocked, wit = is_blocked(self.g, self.explored, 10, self.delta)
         assert blocked and wit == {8}
 
     def test_heavy_witness_set_grows_toward_spine_start(self):
-        blocked, wit = is_blocked(self.st, self.g, 9, self.delta)
+        blocked, wit = is_blocked(self.g, self.explored, 9, self.delta)
         assert blocked and wit == {7, 8}
-        blocked, wit = is_blocked(self.st, self.g, 8, self.delta)
+        blocked, wit = is_blocked(self.g, self.explored, 8, self.delta)
         assert blocked and wit == {6, 7, 8}
 
     def test_unblocked_one_step_beyond(self):
-        # with the two nearest lights gone the best witness is at k+2
-        st2 = ExplorationState.from_explored(
-            self.g, list(range(2 * self.k)) + [7, 8], 2 * self.k - 1
-        )
-        blocked, wit = is_blocked(st2, self.g, 9, self.delta)
+        # with the two nearest lights gone the best witness is at k+2; the
+        # explored vertices may come in any iterable
+        blocked, wit = is_blocked(self.g, [*range(2 * self.k), 7, 8], 9, self.delta)
         assert not blocked and wit == set()
 
     def test_minimum_weight_edge_never_blocked(self):
-        blocked, _ = is_blocked(self.st, self.g, 5, self.delta)
+        blocked, _ = is_blocked(self.g, self.explored, 5, self.delta)
         assert not blocked
 
     def test_smaller_delta_cannot_reach_witness(self):
-        blocked, _ = is_blocked(self.st, self.g, 10, Fraction(1))
+        blocked, _ = is_blocked(self.g, self.explored, 10, Fraction(1))
         assert not blocked
 
     def test_non_boundary_edge_rejected(self):
-        with pytest.raises(StateError):
-            is_blocked(self.st, self.g, 0, self.delta)
+        # an edge between explored vertices, one between unexplored
+        # vertices, and ids beyond either end of the edge list
+        for explored, eid in ((self.explored, 0), ({0}, 9), (self.explored, -1), (self.explored, 11)):
+            with pytest.raises(StateError, match="is not a boundary edge"):
+                is_blocked(self.g, explored, eid, self.delta)
 
-    def test_records_nothing(self):
-        # re-activation records come from the engine's ball lookup alone;
-        # the state holds none, and a check leaves its boundary as it was
-        st_ = self.st
-        before = ([list(o) for o in st_.out], list(st_.minw), list(st_.src), list(st_.far))
-        blocked, wit = is_blocked(st_, self.g, 10, self.delta)
-        assert blocked and wit == {8}
-        assert (st_.out, st_.minw, st_.src, st_.far) == before
+    @pytest.mark.parametrize("bad", [-1, 12, 2.0, "3", True])
+    def test_bad_explored_vertex_rejected(self, bad):
+        with pytest.raises(ValueError, match="is not a vertex of g"):
+            is_blocked(self.g, {bad}, 9, self.delta)
 
 
 class TestCombLowerBound:
@@ -776,9 +772,18 @@ def _members(engine, u):
     return sorted(engine.interior[u] + engine.leaves[u])
 
 
+def _fresh_ball(engine, u, r):
+    """The ball of radius r around explored u, from oracle.explored_distances:
+    its entries (-1 beyond r) and its unexplored vertices."""
+    st_ = engine.state
+    explored = {x for x in range(engine.g.n) if st_.explored[x]}
+    fresh = [d if d <= r else -1 for d in explored_distances(engine.g, explored, u)]
+    return fresh, [x for x, d in enumerate(fresh) if d >= 0 and x not in explored]
+
+
 class _CheckedEngine(_SharedEngine):
-    """The engine, checking its balls and its witness index against fresh
-    searches and the definition as it runs."""
+    """The engine, checking its balls against oracle.explored_distances and
+    its witness index against oracle.is_blocked as it runs."""
 
     def _select(self, v):
         # after the balls are built, every source whose heaviest boundary
@@ -802,8 +807,8 @@ class _CheckedEngine(_SharedEngine):
                 assert self.balls[u] is not None or heavy <= mn
             ball = self.balls[u]
             if ball is not None and ball is not before[u]:
-                fresh, leaves = _ball(st_, u, self.radius[u])
-                assert list(ball) == list(fresh)
+                fresh, leaves = _fresh_ball(self, u, self.radius[u])
+                assert list(ball) == fresh
                 assert sorted(self.leaves[u]) == sorted(leaves)
                 assert _members(self, u) == [x for x in range(n) if ball[x] >= 0]
                 assert all(u in self.holders[v] for v in leaves)
@@ -820,22 +825,25 @@ class _CheckedEngine(_SharedEngine):
                 continue
             r = self.radius[u]
             assert r == max(self.bnd[e] for e in st_.out[u])
-            fresh, leaves = _ball(st_, u, r)
-            assert [d if d <= r else -1 for d in ball] == list(fresh)
+            fresh, leaves = _fresh_ball(self, u, r)
+            assert [d if d <= r else -1 for d in ball] == fresh
             # the interior and the leaves list every entry, explored former
             # leaves included, which seed the balls built next to u
             assert _members(self, u) == [x for x in range(self.g.n) if ball[x] >= 0]
             for v in leaves:
                 assert v in self.leaves[u] and u in self.holders[v]
         # an edge still on the boundary and known to be blocked is filed
-        # under its first witness, which still blocks it
-        for e in range(self.g.edge_count):
-            if not (e in self.wit and st_.on_boundary(e)):
+        # under its first witness, which still blocks it by the definition
+        explored = {x for x in range(self.g.n) if st_.explored[x]}
+        for e, witnesses in self.wit.items():
+            if st_.explored[st_.far[e]]:
                 continue
-            x = self.wit[e][0]
+            x = witnesses[0]
             assert not st_.explored[x] and e in self.filed[x]
             assert 0 <= self.balls[st_.src[e]][x] <= self.bnd[e]
             assert st_.minw[x] < self.g._iw[e]
+            blocked, found = is_blocked(self.g, explored, e, self.params.delta)
+            assert blocked and x in found
 
 
 @pytest.mark.parametrize("family", _FAMILIES)

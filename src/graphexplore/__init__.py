@@ -1,7 +1,6 @@
 """Online graph exploration, light spanners, generators and oracles."""
 
 from .core import (
-    DistanceTable,
     EdgeSubset,
     Graph,
     as_fraction,
@@ -9,7 +8,6 @@ from .core import (
     minimum_spanning_tree,
     mst_maximizing_overlap,
     restrict,
-    shortest_path_distances,
 )
 from .errors import (
     DegenerateCombWarning,

@@ -9,7 +9,6 @@ rounding can occur anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heappop
 
@@ -161,17 +160,6 @@ class EdgeSubset:
         return f"EdgeSubset({sorted(self.ids)})"
 
 
-@dataclass(frozen=True)
-class DistanceTable:
-    """Single-source distances; dist[v] is a Fraction, or inf if unreachable."""
-
-    source: int
-    dist: tuple
-
-    def __getitem__(self, v: int):
-        return self.dist[v]
-
-
 def _dijkstra(g: Graph, source: int, *, edge_ok=None):
     """Scaled-int single-source Dijkstra over (a filtered subset of) g.
 
@@ -266,19 +254,6 @@ def _within(adj, u: int, v: int, radius, skip: int = -1, exact: bool = True):
         else:
             dv = heap[0] // n
     return None if best == INF or best > radius else best
-
-
-def shortest_path_distances(g: Graph, source: int, edge_filter=None) -> DistanceTable:
-    """Exact single-source distances, optionally over a subset of edges.
-
-    edge_filter is a predicate over edge ids; edges failing it are ignored.
-    """
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range")
-    dist, _ = _dijkstra(g, source, edge_ok=edge_filter)
-    scale = g._scale
-    out = tuple(INF if d == INF else Fraction(d, scale) for d in dist)
-    return DistanceTable(source=source, dist=out)
 
 
 class DisjointSet:

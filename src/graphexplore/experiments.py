@@ -393,7 +393,8 @@ def _guarded(job) -> list[dict]:
 def _run_tasks(task_fn, columns, tasks, jobs: int) -> list[dict]:
     work = [(task_fn, columns, t) for t in tasks]
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # one worker per task at most: a fork pool starts every worker at once
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             chunks = list(pool.map(_guarded, work))
     else:
         chunks = [_guarded(w) for w in work]

@@ -184,19 +184,6 @@ class ExplorationState:
         st.mark_explored(start)
         return st
 
-    @classmethod
-    def from_explored(cls, g: Graph, explored, position: int | None = None) -> "ExplorationState":
-        """State as if the given vertices had been visited (for offline checks)."""
-        vs = sorted(set(explored))
-        if not vs:
-            raise ValueError("need at least one explored vertex")
-        st = cls(g, position if position is not None else vs[0])
-        for v in vs:
-            st.mark_explored(v)
-        if not st.explored[st.position]:
-            raise ValueError(f"position {st.position} is not explored")
-        return st
-
     def mark_explored(self, v: int) -> None:
         explored = self.explored
         if explored[v]:
@@ -248,10 +235,10 @@ def _dijkstra_explored(
     Each expanded vertex's adjacency row is read once: an explored
     neighbour is relaxed, and an unexplored one is a leaf: it is never
     expanded, and with stop_leaf its tentative distance lives in the
-    returned dict.  Returns (settled, leaves): settled lists the explored
-    vertices in settling order, their exact distances in state._dj_dist
-    under this call's stamp.  Parents are always recorded in
-    state._dj_pare: the first edge that improved a vertex, for _path_to.
+    returned dict of leaves.  A settled vertex x has state._dj_stamp[x] ==
+    -state._gen and its exact distance in state._dj_dist.  Parents are
+    always recorded in state._dj_pare: the first edge that improved a
+    vertex, for _path_to.
 
     Vertices settle in (distance, id) order.  The search stops before
     settling a vertex beyond `radius`, after settling `target` (which is then
@@ -295,7 +282,6 @@ def _dijkstra_explored(
     # no key at or beyond `cut` is settled
     cut = INF if radius is None else (radius + 1) * n
     leaves: dict[int, int] = {}
-    settled = []
     reads = 0
     tie = False
     while heap:
@@ -306,7 +292,6 @@ def _dijkstra_explored(
         if stamp[u] == done:
             continue  # a stale entry: u settled from a smaller key
         stamp[u] = done
-        settled.append(u)
         if u == target:
             if guide is None:
                 break
@@ -355,7 +340,7 @@ def _dijkstra_explored(
                         cut = lk
     state.adjacency_reads += reads
     state._dj_tie = tie
-    return settled, leaves
+    return leaves
 
 
 def _empty_ball(n: int, radius: int):
@@ -1184,14 +1169,12 @@ def run_nearest_neighbor(g: Graph, start: int = 0) -> TraversalLog:
     search stops as soon as the nearest unexplored vertex is known.
     """
     require_connected(g, "run_nearest_neighbor")
-    if not (0 <= start < g.n):
-        raise ValueError(f"start vertex {start} out of range")
     st = ExplorationState.initial(g, start)
     iw = g._iw
     steps = TraversalSteps()
     taken: list[int] = []
     while st.explored_count < g.n:
-        _, leaves = _dijkstra_explored(st, st.position, stop_leaf=True)
+        leaves = _dijkstra_explored(st, st.position, stop_leaf=True)
         if not leaves:
             raise InvariantViolation("nearest-neighbor-frontier", witness=st.position)
         _, target = min((d, v) for v, d in leaves.items())

@@ -446,20 +446,34 @@ def read_graph(path) -> Graph:
 # instance specs: a JSON-friendly description that builds a concrete instance
 
 
+def _param(params: dict, key: str, parse=int):
+    """params[key], 0 when absent, read by `parse`: int for a count (an int
+    or a string of one) or as_fraction for a rational.  A float, or a value
+    `parse` rejects, is a ValueError that names the param: 3.7 is not 3."""
+    value = params.get(key, 0)
+    try:
+        if not isinstance(value, float):
+            return parse(value)
+    except ValueError:
+        pass
+    kind = "an integer" if parse is int else "an exact rational"
+    raise ValueError(f"instance param {key!r} must be {kind}, got {value!r}")
+
+
 # family -> (required params, optional params, the genus of every graph it
 # builds or None for unknown, its builder from (params, seed) to the graph)
 FAMILIES = {
     "comb_lower_bound": (("k", "delta"), (), 0, lambda p, s: gen_comb_lower_bound(
-        int(p["k"]), as_fraction(p["delta"]))),
-    "random_planar": (("points",), (), 0, lambda p, s: gen_random_planar(int(p["points"]), s)),
+        _param(p, "k"), _param(p, "delta", as_fraction))),
+    "random_planar": (("points",), (), 0, lambda p, s: gen_random_planar(_param(p, "points"), s)),
     "toroidal_grid": (("p", "q"), ("weights",), 1, lambda p, s: gen_toroidal_grid(
-        int(p["p"]), int(p["q"]), p.get("weights", "uniform"), s)),
+        _param(p, "p"), _param(p, "q"), p.get("weights", "uniform"), s)),
     "grid": (("p", "q"), ("weights",), 0, lambda p, s: gen_grid(
-        int(p["p"]), int(p["q"]), p.get("weights", "unit"), s)),
+        _param(p, "p"), _param(p, "q"), p.get("weights", "unit"), s)),
     "random_tree": (("n",), ("weights",), 0, lambda p, s: gen_random_tree(
-        int(p["n"]), s, p.get("weights", "uniform"))),
+        _param(p, "n"), s, p.get("weights", "uniform"))),
     "erdos_renyi": (("n", "p"), ("weights",), None, lambda p, s: gen_erdos_renyi(
-        int(p["n"]), p["p"], s, p.get("weights", "uniform"))),
+        _param(p, "n"), p["p"], s, p.get("weights", "uniform"))),
     # "start" is the walk's start vertex, which is 0 in every other family
     "file": (("path",), ("start",), None, lambda p, s: read_graph(p["path"])),
 }
@@ -532,4 +546,4 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     """Materialize a spec; same spec always gives an identical graph."""
     _, _, genus, build = FAMILIES[spec.family]
     g = build(spec.params, spec.seed)
-    return BuiltInstance(g, int(spec.params.get("start", 0)), spec, genus=genus)
+    return BuiltInstance(g, _param(spec.params, "start"), spec, genus=genus)

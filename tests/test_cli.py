@@ -215,6 +215,31 @@ class TestExploreRows:
         )
         assert serial == parallel
 
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        # a stand-in pool that records its size and maps serially, so that
+        # no process starts: --jobs 64 over two instances asks for two
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        instances = [spec_of(COMB), spec_of(GRID)]
+        algos = [AlgorithmSpec("blocking", Fraction(2))]
+        serial = run_explore(ExperimentConfig(instances=instances, algorithms=algos))
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        assert run_explore(ExperimentConfig(instances=instances, algorithms=algos, jobs=64)) == serial
+        assert sizes == [2]
+
 
 class TestSpannerRows:
     def test_planar_row(self):
@@ -312,6 +337,18 @@ class TestErrorRows:
         cause = "error:ValueError: k must be a positive int, got 0"
         assert bad["verified_ok"] == cause
         assert cause in capsys.readouterr().err
+
+    def test_float_comb_delta(self, tmp_path, capsys):
+        # a rational param given as a JSON float: a usage error for gen, an
+        # error row for a batch command
+        spec = '{"family": "comb_lower_bound", "params": {"k": 3, "delta": 2.5}}'
+        assert main(["gen", "--instance", spec]) == 2
+        assert "instance param 'delta' must be an exact rational, got 2.5" in capsys.readouterr().err
+        out = tmp_path / "rows.csv"
+        assert main(["explore", "--instance", spec, "--delta", "1", "--out", str(out)]) == 1
+        _, rows = read_csv(out)
+        assert [r["verified_ok"] for r in rows] == [
+            "error:ValueError: instance param 'delta' must be an exact rational, got 2.5"]
 
     def test_spanner_error_row(self):
         cfg = ExperimentConfig(instances=[spec_of(BAD_COMB), spec_of(COMB)],

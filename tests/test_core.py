@@ -21,7 +21,6 @@ from graphexplore.core import (
     mst_maximizing_overlap,
     require_connected,
     restrict,
-    shortest_path_distances,
 )
 from graphexplore.errors import GraphStructureError
 from graphexplore.experiments import AlgorithmSpec, ExperimentConfig
@@ -108,34 +107,29 @@ class TestGraphValidation:
 class TestShortestPaths:
     def test_two_edge_path(self):
         g = Graph(3, [(0, 1, 1), (1, 2, 2)])
-        t = shortest_path_distances(g, 0)
-        assert t.dist == (0, 1, 3)
+        dist, _ = _dijkstra(g, 0)
+        assert [Fraction(d, g._scale) for d in dist] == [0, 1, 3]
 
     def test_filter_disconnects(self):
         g = Graph(3, [(0, 1, 1), (1, 2, 2)])
-        t = shortest_path_distances(g, 0, edge_filter=lambda e: e != 1)
-        assert t.dist[2] == INF
+        dist, _ = _dijkstra(g, 0, edge_ok=lambda e: e != 1)
+        assert dist[2] == INF
 
     def test_grid_corner_to_corner(self):
         # unit 5x5 grid: opposite corner at hop distance 8
         from graphexplore.instances import gen_grid
 
         g = gen_grid(5, 5)
-        t = shortest_path_distances(g, 0)
-        assert t.dist[24] == 8
-
-    def test_invalid_source(self):
-        g = Graph(2, [(0, 1, 1)])
-        with pytest.raises(ValueError):
-            shortest_path_distances(g, 5)
+        dist, _ = _dijkstra(g, 0)
+        assert Fraction(dist[24], g._scale) == 8
 
     def test_triangle_inequality_random(self, rng):
         for _ in range(10):
             g = random_connected_graph(rng, 9, 6)
-            t = shortest_path_distances(g, 0)
+            dist, _ = _dijkstra(g, 0)
             for eid in range(g.edge_count):
                 u, v = g.endpoints(eid)
-                assert t.dist[v] <= t.dist[u] + g.weight(eid)
+                assert dist[v] <= dist[u] + g._iw[eid]
 
     def test_parents_trace_shortest_paths(self, rng):
         # the kernel always records parents: from every vertex they lead
@@ -308,11 +302,11 @@ def test_distances_satisfy_edge_relaxation_property(seed):
     rng = random.Random(seed)
     g = random_connected_graph(rng, rng.randint(3, 9), rng.randint(0, 6))
     src = rng.randrange(g.n)
-    t = shortest_path_distances(g, src)
+    dist, _ = _dijkstra(g, src)
     for eid in range(g.edge_count):
         u, v = g.endpoints(eid)
-        assert t.dist[v] <= t.dist[u] + g.weight(eid)
-        assert t.dist[u] <= t.dist[v] + g.weight(eid)
+        assert dist[v] <= dist[u] + g._iw[eid]
+        assert dist[u] <= dist[v] + g._iw[eid]
 
 
 @settings(max_examples=200)

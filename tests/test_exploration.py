@@ -14,8 +14,8 @@ from graphexplore.core import (
     INF,
     EdgeSubset,
     Graph,
+    _dijkstra,
     allowances,
-    shortest_path_distances,
 )
 from graphexplore.errors import (
     GraphStructureError,
@@ -132,6 +132,18 @@ class TestSmallRuns:
             ExplorationParams(delta=0)
 
 
+def fully_explored(g: Graph) -> ExplorationState:
+    st_ = ExplorationState.initial(g, 0)
+    for v in range(1, g.n):
+        st_.mark_explored(v)
+    return st_
+
+
+def settled(st_: ExplorationState) -> list[int]:
+    """The vertices the kernel's last search settled: their stamp is -gen."""
+    return [x for x, s in enumerate(st_._dj_stamp) if s == -st_._gen]
+
+
 class TestInternallyExploredDistance:
     """The Dijkstra kernel's distances: explored vertices settle, unexplored
     ones are leaves reached over one boundary edge and never passed through."""
@@ -139,19 +151,19 @@ class TestInternallyExploredDistance:
     def test_zero_for_same_vertex(self):
         g = Graph(2, [(0, 1, 1)])
         st_ = ExplorationState.initial(g, 0)
-        settled, leaves = _dijkstra_explored(st_, 0, stop_leaf=True)
-        assert settled == [0] and st_._dj_dist[0] == 0
+        leaves = _dijkstra_explored(st_, 0, stop_leaf=True)
+        assert settled(st_) == [0] and st_._dj_dist[0] == 0
         assert leaves == {1: 1}
 
     def test_fully_explored_equals_dijkstra(self, rng):
         for _ in range(8):
             g = random_connected_graph(rng, 8, 5)
-            st_ = ExplorationState.from_explored(g, range(8), 0)
-            settled, _ = _dijkstra_explored(st_, 3)
-            assert sorted(settled) == list(range(8))
-            ref = shortest_path_distances(g, 3)
+            st_ = fully_explored(g)
+            _dijkstra_explored(st_, 3)
+            assert settled(st_) == list(range(8))
+            ref, _ = _dijkstra(g, 3)
             for y in range(8):
-                assert Fraction(st_._dj_dist[y], g._scale) == ref.dist[y]
+                assert st_._dj_dist[y] == ref[y]
 
     def test_guided_search_keeps_the_path_and_sees_ties(self, rng):
         # a guide of exact distances to the target leaves the path alone;
@@ -160,15 +172,15 @@ class TestInternallyExploredDistance:
         for _ in range(40):
             n = rng.randint(2, 10)
             g = _tied_graph(rng, n, rng.randint(0, 2 * n))
-            st_ = ExplorationState.from_explored(g, range(n), 0)
+            st_ = fully_explored(g)
             s, t = rng.sample(range(n), 2)
             _dijkstra_explored(st_, s, target=t)
             path = _path_to(st_, t)
-            settled, _ = _dijkstra_explored(st_, s)
-            dist = {x: st_._dj_dist[x] for x in settled}
+            _dijkstra_explored(st_, s)
+            dist = {x: st_._dj_dist[x] for x in settled(st_)}
             count = dict.fromkeys(range(n), 0)
             count[s] = 1
-            for x in sorted(settled, key=dist.__getitem__):
+            for x in sorted(dist, key=dist.__getitem__):
                 for y, _, w in g._adj[x]:
                     if dist[x] + w == dist[y]:
                         count[y] += count[x]
@@ -183,8 +195,8 @@ class TestInternallyExploredDistance:
     def test_unexplored_interior_blocks_path(self):
         # 0 -- 1 -- 2 with 1 unexplored: no internally explored 0-2 path
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
-        st_ = ExplorationState.from_explored(g, [0], 0)
-        _, leaves = _dijkstra_explored(st_, 0, stop_leaf=True)
+        st_ = ExplorationState.initial(g, 0)
+        leaves = _dijkstra_explored(st_, 0, stop_leaf=True)
         assert leaves == {1: 1, 2: 5}  # 2 by its direct edge only
 
 
@@ -505,9 +517,8 @@ class TestCycleProperty:
             expected = []
             for eid in sorted(s_ids):
                 u, v = g.endpoints(eid)
-                d = shortest_path_distances(
-                    g, u, edge_filter=lambda e, eid=eid: e in s_ids and e != eid
-                ).dist[v]
+                d = _dijkstra(g, u, edge_ok=lambda e, eid=eid: e in s_ids and e != eid)[0][v]
+                d = d if d == INF else Fraction(d, g._scale)
                 bound = (1 + delta) * g.weight(eid)
                 if d <= bound:
                     expected.append({"edge": eid, "detour": str(d), "allowed": str(bound)})

@@ -400,6 +400,25 @@ class TestInstanceSpec:
         with pytest.raises(ValueError, match=match):
             build_instance(spec)
 
+    @pytest.mark.parametrize("family,params,key", [
+        ("grid", {"p": 3.7, "q": 3}, "p"),
+        ("grid", {"p": 3, "q": 3.0}, "q"),
+        ("toroidal_grid", {"p": 3.5, "q": 3}, "p"),
+        ("toroidal_grid", {"p": 3, "q": 4.2}, "q"),
+        ("random_planar", {"points": 12.9}, "points"),
+        ("random_tree", {"n": 5.5}, "n"),
+        ("erdos_renyi", {"n": 10.5, "p": "1/2"}, "n"),
+        ("comb_lower_bound", {"k": 2.5, "delta": "2"}, "k"),
+        ("comb_lower_bound", {"k": 4, "delta": 2.5}, "delta"),
+        ("file", {"path": str(DATA / "comb_k3_d2.edges"), "start": 1.5}, "start"),
+    ])
+    def test_non_integral_param_fails_at_build(self, family, params, key):
+        # no coercion: a count is an int or a string of one, so 3.7 is not
+        # read as 3, and a float is never an exact rational
+        with pytest.raises(ValueError, match=f"instance param '{key}' must be "):
+            build_instance(InstanceSpec(family, params))
+        assert build_instance(InstanceSpec(family, {**params, key: "3"})).spec.params[key] == "3"
+
 
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
 def test_spec_determinism_property(seed):

@@ -5,7 +5,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphexplore.core import INF, EdgeSubset, Graph, minimum_spanning_tree, shortest_path_distances
+from graphexplore.core import INF, EdgeSubset, Graph, _dijkstra, minimum_spanning_tree
 from graphexplore.errors import DegenerateInstanceError, GraphStructureError, ResourceGuardError
 from graphexplore.exploration import ExplorationParams
 from graphexplore.oracle import (
@@ -31,7 +31,7 @@ def list_held_karp(g: Graph, start: int = 0) -> tuple[Fraction, tuple[int, ...]]
     n = g.n
     if n == 1:
         return Fraction(0), (start,)
-    dmat = [shortest_path_distances(g, s).dist for s in range(n)]
+    dmat = [_dijkstra(g, s)[0] for s in range(n)]  # scaled ints
     others = [v for v in range(n) if v != start]
     k = len(others)
     full = (1 << k) - 1
@@ -64,14 +64,14 @@ def list_held_karp(g: Graph, start: int = 0) -> tuple[Fraction, tuple[int, ...]]
         via = list(map(add, dp[prev], col[j]))
         j, mask = via.index(dp[mask][j]), prev
     order.reverse()
-    return best, (start, *order, start)
+    return Fraction(best, g._scale), (start, *order, start)
 
 
 def tour_cost_replay(g: Graph, order) -> Fraction:
     """Re-price a visiting order through single-source distance queries."""
     total = Fraction(0)
     for a, b in zip(order, order[1:]):
-        total += shortest_path_distances(g, a).dist[b]
+        total += Fraction(_dijkstra(g, a)[0][b], g._scale)
     return total
 
 

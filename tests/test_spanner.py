@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from graphexplore.core import (
     EdgeSubset,
     Graph,
+    _dijkstra,
     minimum_spanning_tree,
-    shortest_path_distances,
 )
 from graphexplore.errors import (
     DegenerateInstanceError,
@@ -54,13 +54,13 @@ def exact_max_stretch(g: Graph, ids) -> Fraction:
     """Independent all-pairs oracle, brute force over every vertex pair."""
     best = Fraction(1)
     for a in range(g.n):
-        dg = shortest_path_distances(g, a).dist
-        dh = shortest_path_distances(g, a, edge_filter=lambda e: e in ids).dist
+        dg, _ = _dijkstra(g, a)  # scaled ints: their ratios are exact
+        dh, _ = _dijkstra(g, a, edge_ok=lambda e: e in ids)
         for b in range(a + 1, g.n):
             if dg[b] == 0:
                 assert dh[b] == 0
                 continue
-            r = dh[b] / dg[b]
+            r = Fraction(dh[b], dg[b])
             if r > best:
                 best = r
     return best
@@ -445,8 +445,8 @@ def all_pairs_stretch(g: Graph, ids, eps) -> tuple[bool, Fraction]:
     """(ok, max ratio) of h = ids over every vertex pair, from the definition."""
     ok, best = True, Fraction(1)
     for a in range(g.n):
-        dg = shortest_path_distances(g, a).dist
-        dh = shortest_path_distances(g, a, edge_filter=lambda e: e in ids).dist
+        dg, _ = _dijkstra(g, a)  # scaled ints: their ratios are exact
+        dh, _ = _dijkstra(g, a, edge_ok=lambda e: e in ids)
         for b in range(a + 1, g.n):
             if dg[b] == float("inf"):
                 continue
@@ -456,7 +456,7 @@ def all_pairs_stretch(g: Graph, ids, eps) -> tuple[bool, Fraction]:
             if dh[b] == float("inf"):
                 ok = False
                 continue
-            r = dh[b] / dg[b]
+            r = Fraction(dh[b], dg[b])
             best = max(best, r)
             ok = ok and r <= 1 + eps
     return ok, best
@@ -490,7 +490,7 @@ def test_per_edge_stretch_matches_all_pairs(seed, eps, keep_share):
     # endpoints, and zero-weight ones at distance zero
     joined = True
     for eid, (u, v) in enumerate(g.edges):
-        dh = shortest_path_distances(g, u, edge_filter=lambda e: e in keep)[v]
+        dh = _dijkstra(g, u, edge_ok=lambda e: e in keep)[0][v]
         joined = joined and dh != float("inf") and (g.weight(eid) > 0 or dh == 0)
     if joined:
         assert rep.max_ratio == max_ratio
@@ -503,8 +503,8 @@ def per_edge_stretch_report(g: Graph, ids, eps):
         if eid in ids:
             continue
         pair = (min(u, v), max(u, v))
-        w = g.weight(eid)
-        dh = shortest_path_distances(g, u, edge_filter=lambda e: e in ids)[v]
+        w = g._iw[eid]  # scaled, like dh
+        dh = _dijkstra(g, u, edge_ok=lambda e: e in ids)[0][v]
         if w == 0:
             if dh != 0:
                 violations.append({"pair": pair, "why": "zero g-distance, positive h-distance"})
@@ -512,10 +512,11 @@ def per_edge_stretch_report(g: Graph, ids, eps):
         if dh == float("inf"):
             violations.append({"pair": pair, "why": "pair disconnected in h"})
             continue
-        if dh / w > 1 + eps:
-            violations.append({"pair": pair, "ratio": str(dh / w), "allowed": str(1 + eps)})
-        if dh / w > top:
-            top, worst = dh / w, pair
+        ratio = Fraction(dh, w)
+        if ratio > 1 + eps:
+            violations.append({"pair": pair, "ratio": str(ratio), "allowed": str(1 + eps)})
+        if ratio > top:
+            top, worst = ratio, pair
     return not violations, top, worst, violations
 
 

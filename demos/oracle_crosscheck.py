@@ -27,7 +27,7 @@ def main() -> int:
 
     print("tours: held-karp vs permutation search on 40 random graphs")
     specs = [InstanceSpec("erdos_renyi", {"n": rng.randint(4, 8), "p": "1/2"}, i) for i in range(40)]
-    costs = verify("tsp_permutation_agreement", specs, algorithms=blocking)
+    costs = verify("tsp_permutation_agreement", specs)
     assert len(costs) == 40
     print(f"  all agree (largest optimal tour seen: {max(Fraction(c[5:]) for c in costs)})")
     print()

@@ -21,17 +21,23 @@ def as_fraction(w) -> Fraction:
     """Coerce an exact weight (Fraction, int, "p/q" string, (p, q) pair).
 
     Floats are rejected on purpose: they are the one way rounding could
-    sneak in.
+    sneak in.  A zero denominator is a ValueError, like any other string
+    or pair that names no rational.
     """
     if isinstance(w, Fraction):
         return w
     if isinstance(w, int):
         return Fraction(w)
     if isinstance(w, str):
-        return Fraction(w)
-    if isinstance(w, tuple) and len(w) == 2:
-        return Fraction(w[0], w[1])
-    raise TypeError(f"expected an exact rational, got {type(w).__name__}: {w!r}")
+        args = (w,)
+    elif isinstance(w, tuple) and len(w) == 2:
+        args = w
+    else:
+        raise TypeError(f"expected an exact rational, got {type(w).__name__}: {w!r}")
+    try:
+        return Fraction(*args)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {w!r}") from None
 
 
 def positive(x, name: str) -> Fraction:
@@ -61,7 +67,7 @@ class Graph:
     it check it themselves.
     """
 
-    __slots__ = ("n", "_edges", "_weights", "_scale", "_iw", "_adj", "_mst")
+    __slots__ = ("n", "_edges", "_weights", "_scale", "_iw", "_adj", "_rows", "_mst")
 
     def __init__(self, vertex_count: int, edges):
         if not isinstance(vertex_count, int) or vertex_count < 1:
@@ -92,6 +98,7 @@ class Graph:
             adj[u].append((v, eid, w))
             adj[v].append((u, eid, w))
         self._adj = tuple(tuple(a) for a in adj)
+        self._rows = None
         self._mst = None
 
     @property
@@ -117,6 +124,15 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def weight_ordered_rows(g: Graph) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """g._adj with every row in (weight, edge id) order, the order
+    BoundedSearch needs.  g is immutable, so the rows are built once and
+    kept in g._rows."""
+    if g._rows is None:
+        g._rows = tuple(tuple(sorted(row, key=lambda t: (t[2], t[1]))) for row in g._adj)
+    return g._rows
 
 
 class EdgeSubset:
@@ -166,7 +182,7 @@ def _dijkstra(g: Graph, source: int, *, edge_ok=None):
     Vertices settle in (distance, id) order and a parent edge is set on
     each strict improvement only.  Returns (dist, parent_edge) where
     unreached entries are INF / None.  Bounded or point-to-point questions
-    go to _within.
+    go to BoundedSearch.
     """
     dist = [INF] * g.n
     par = [None] * g.n
@@ -188,72 +204,101 @@ def _dijkstra(g: Graph, source: int, *, edge_ok=None):
     return dist, par
 
 
-def _within(adj, u: int, v: int, radius, skip: int = -1, exact: bool = True):
-    """Scaled distance from u to v over `adj` if it is <= radius, else None.
+class BoundedSearch:
+    """Bounded u-v distances over one adjacency, reusing its scratch arrays.
 
-    `adj` has the shape of `Graph._adj` (rows of (neighbour, edge id, scaled
-    weight)) and may hold only some of a graph's edges; edge `skip` is
-    ignored.  The search is bidirectional, one ball around u and one around
-    v, each grown from its smaller frontier distance.  Heap keys encode
-    (distance, vertex) as one int, d * n + x with n = len(adj), as in the
-    explorer's Dijkstra.  Every relaxed edge that meets the other ball's
-    labels offers a u-v path; once the two frontier distances sum to at
-    least the best such path, that path is shortest, and once they sum past
-    `radius`, no path is within it.
-
-    Frontier pruning: a neighbour the other ball has not labelled yet is
-    pushed only if its distance plus the other frontier's distance is
-    within `radius`, since frontier distances never fall and the other
-    ball can label it no nearer than that.  A labelled neighbour is first
-    recorded as a meeting, then pushed if it is within `radius` itself.
-    So the cost is local to two balls of about half the radius.
-
-    With exact=False the search returns at the first meeting on a u-v path
-    of length <= radius, with that length: an upper bound on the distance,
-    never above `radius`, and equal to it when `radius` is the distance.
-    It returns None exactly when the exact search does, so it answers "is
-    there a detour within radius" without proving which one is shortest.
+    `rows` has the shape of `Graph._adj` (rows of (neighbour, edge id,
+    scaled weight)), may hold only some of a graph's edges, and must keep
+    each row in (weight, id) order, as weight_ordered_rows(g) does.  The
+    object keeps a reference to `rows`, so an edge appended in order to
+    two rows between searches is seen by the next one.  Its per-vertex
+    labels are stamped with the search that wrote them, so a search starts
+    without clearing or allocating anything but its two heaps.
     """
-    if u == v:
-        return 0 if radius >= 0 else None
-    n = len(adj)
-    dist_u, dist_v = {u: 0}, {v: 0}
-    heap_u, heap_v = [u], [v]
-    du = dv = 0  # frontier distances: heap_u[0] // n and heap_v[0] // n
-    best = INF
-    while du + dv < best and du + dv <= radius:
-        forward = du <= dv
-        if forward:
-            heap, mine, other, lim = heap_u, dist_u, dist_v, radius - dv
-        else:
-            heap, mine, other, lim = heap_v, dist_v, dist_u, radius - du
-        key = heappop(heap)
-        d = key // n
-        x = key - d * n
-        if d == mine[x]:  # not a stale entry
-            for y, eid, w in adj[x]:
-                if eid == skip:
-                    continue
-                nd = d + w
-                if y in other:
-                    if nd + other[y] < best:
-                        best = nd + other[y]
-                        if not exact and best <= radius:
-                            return best
+
+    __slots__ = ("rows", "_stamp", "_seen_u", "_seen_v", "_dist_u", "_dist_v")
+
+    def __init__(self, rows):
+        n = len(rows)
+        self.rows = rows
+        self._stamp = 0
+        self._seen_u = [0] * n  # x is labelled from u when _seen_u[x] == _stamp
+        self._seen_v = [0] * n
+        self._dist_u = [0] * n
+        self._dist_v = [0] * n
+
+    def within(self, u: int, v: int, radius, skip: int = -1, exact: bool = True):
+        """Scaled distance from u to v if it is <= radius, else None.
+
+        Edge `skip` is ignored.  The search is bidirectional, one ball
+        around u and one around v, each grown from its smaller frontier
+        distance.  Heap entries are (distance, vertex) tuples: scaled
+        distances reach 2^34 on planar instances, where a one-int key d * n
+        + x would need multi-digit division on every pop.  Every relaxed
+        edge that meets the other ball's labels offers a u-v path; once the
+        two frontier distances sum to at least the best such path, that
+        path is shortest, and once they sum past `radius`, no path is
+        within it.
+
+        Rows are in weight order, so a relaxation stops at the first entry
+        whose distance passes `radius`.  Frontier pruning: a neighbour the
+        other ball has not labelled yet is pushed only if its distance plus
+        the other frontier's distance is within `radius`, since frontier
+        distances never fall and the other ball can label it no nearer than
+        that.  A labelled neighbour is first recorded as a meeting, then
+        pushed (it is within `radius`).  So the cost is local to two balls
+        of about half the radius.
+
+        With exact=False the search returns at the first meeting on a u-v
+        path of length <= radius, with that length: an upper bound on the
+        distance, never above `radius`, and equal to it when `radius` is
+        the distance.  It returns None exactly when the exact search does,
+        so it answers "is there a detour within radius" without proving
+        which one is shortest.
+        """
+        if u == v:
+            return 0 if radius >= 0 else None
+        rows = self.rows
+        self._stamp = stamp = self._stamp + 1
+        seen_u, seen_v = self._seen_u, self._seen_v
+        dist_u, dist_v = self._dist_u, self._dist_v
+        seen_u[u] = seen_v[v] = stamp
+        dist_u[u] = dist_v[v] = 0
+        heap_u, heap_v = [(0, u)], [(0, v)]
+        du = dv = 0  # frontier distances: heap_u[0][0] and heap_v[0][0]
+        best = INF
+        while du + dv < best and du + dv <= radius:
+            forward = du <= dv
+            if forward:
+                heap, seen, mine, oseen, other, lim = heap_u, seen_u, dist_u, seen_v, dist_v, radius - dv
+            else:
+                heap, seen, mine, oseen, other, lim = heap_v, seen_v, dist_v, seen_u, dist_u, radius - du
+            d, x = heappop(heap)
+            if d == mine[x]:  # not a stale entry
+                for y, eid, w in rows[x]:
+                    nd = d + w
                     if nd > radius:
+                        break
+                    if eid == skip:
                         continue
-                elif nd > lim:
-                    continue
-                if y not in mine or nd < mine[y]:
-                    mine[y] = nd
-                    heappush(heap, nd * n + y)
-        if not heap:
-            break
-        if forward:
-            du = heap[0] // n
-        else:
-            dv = heap[0] // n
-    return None if best == INF or best > radius else best
+                    if oseen[y] == stamp:
+                        if nd + other[y] < best:
+                            best = nd + other[y]
+                            if not exact and best <= radius:
+                                return best
+                    elif nd > lim:
+                        continue
+                    if seen[y] != stamp or nd < mine[y]:
+                        seen[y] = stamp
+                        mine[y] = nd
+                        heappush(heap, (nd, y))
+            if not heap:
+                break
+            if forward:
+                du = heap[0][0]
+            else:
+                dv = heap[0][0]
+        return None if best == INF or best > radius else best
 
 
 class DisjointSet:

@@ -10,22 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .core import (
     INF,
+    BoundedSearch,
     EdgeSubset,
     Graph,
     _dijkstra,
-    _within,
     allowances,
     as_fraction,
     fundamental_cycle,
     minimum_spanning_tree,
     positive,
     require_connected,
+    weight_ordered_rows,
 )
 from .errors import ResourceGuardError, StateError
 from .exploration import APPROACH, RETURN, TAKE, TraversalLog, TraversalSteps
@@ -49,14 +51,32 @@ def _metric_closure(g: Graph) -> list[list[int]]:
     return [_dijkstra(g, s)[0] for s in range(g.n)]
 
 
+@lru_cache(maxsize=TSP_MAX_N)
+def _selections(k: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """(j, masks) for every size from 2 to k and every j < k, in that order:
+    the subsets of k others with that many members, j among them, as a
+    read-only int32 array.  Held-Karp fills its table in this order."""
+    masks = np.arange(1 << k, dtype=np.int32)
+    popcount = sum((masks >> b) & 1 for b in range(k))
+    out = []
+    for size in range(2, k + 1):
+        layer = masks[popcount == size]
+        for j in range(k):
+            sel = layer[(layer >> j) & 1 == 1]
+            sel.flags.writeable = False
+            out.append((j, sel))
+    return tuple(out)
+
+
 def exact_tsp(g: Graph, start: int = 0) -> TourResult:
     """Cheapest closed walk visiting every vertex, by Held-Karp.
 
     Works on the metric closure, so the reported order is the visiting
     order and consecutive vertices may be far apart in g.  The subset table
-    is filled one popcount layer at a time with integer NumPy arrays: int64
-    when no sum the DP forms can reach 2^62, Python ints (dtype=object)
-    otherwise.  Guarded to n <= 15.
+    is filled one popcount layer at a time with integer NumPy arrays: int32
+    when no sum the DP forms can reach 2^31, int64 when none can reach
+    2^62, Python ints (dtype=object) otherwise.  Each layer's subsets come
+    from _selections, built once per vertex count.  Guarded to n <= 15.
     """
     require_connected(g, "exact_tsp")
     n = g.n
@@ -74,7 +94,8 @@ def exact_tsp(g: Graph, start: int = 0) -> TourResult:
     # a walk of at most n hops costs at most n * top, below the sentinel; the
     # largest sum formed, the sentinel plus one hop, is below (top+1) * (n+2)
     unset = (top + 1) * n
-    dtype = np.int64 if (top + 1) * (n + 2) < 2**62 else object
+    bound = (top + 1) * (n + 2)
+    dtype = np.int32 if bound < 2**31 else np.int64 if bound < 2**62 else object
     # hop[i, j]: cost of the hop others[i] -> others[j]
     hop = np.array([[dmat[a][b] for b in others] for a in others], dtype=dtype)
     # dp[mask, j]: cheapest start -> ... -> others[j] visiting exactly the
@@ -82,13 +103,8 @@ def exact_tsp(g: Graph, start: int = 0) -> TourResult:
     dp = np.full((full + 1, k), unset, dtype=dtype)
     ids = np.arange(k)
     dp[1 << ids, ids] = np.array([dmat[start][v] for v in others], dtype=dtype)
-    masks = np.arange(full + 1)
-    popcount = sum((masks >> b) & 1 for b in range(k))
-    for size in range(2, k + 1):
-        layer = masks[popcount == size]
-        for j in range(k):
-            sel = layer[(layer >> j) & 1 == 1]
-            dp[sel, j] = (dp[sel ^ (1 << j)] + hop[:, j]).min(axis=1)
+    for j, sel in _selections(k):
+        dp[sel, j] = (dp[sel ^ (1 << j)] + hop[:, j]).min(axis=1)
     closing = dp[full] + np.array([dmat[v][start] for v in others], dtype=dtype)
     # rebuild the visiting order backwards: at each step take the first
     # predecessor whose entry plus the hop reproduces the current cost, which
@@ -163,12 +179,14 @@ def brute_force_optspan_edges(g: Graph, epsilon) -> EdgeSubset:
     best_keep = all_ids
     best_w = total_w
 
+    rows = weight_ordered_rows(g)
+
     def feasible(removed: list[int]) -> bool:
         gone = set(removed)
-        adj = [[t for t in row if t[1] not in gone] for row in g._adj]
+        within = BoundedSearch([[t for t in row if t[1] not in gone] for row in rows]).within
         # the newest removal is the likeliest to fail, so it is tried first
         return all(
-            _within(adj, *ends[e], allowance[e], exact=False) is not None
+            within(*ends[e], allowance[e], exact=False) is not None
             for e in reversed(removed)
         )
 

@@ -12,14 +12,15 @@ from fractions import Fraction
 
 from .core import (
     INF,
+    BoundedSearch,
     EdgeSubset,
     Graph,
-    _within,
     allowances,
     minimum_spanning_tree,
     positive,
     require_connected,
     restrict,  # unused here; the benchmark's tracer wraps spanner.restrict
+    weight_ordered_rows,
 )
 from .errors import DegenerateInstanceError
 
@@ -39,9 +40,10 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     exceeds (1+epsilon) * w(e).  The result spans g, has stretch at most
     1+epsilon, contains the (weight, id)-tie Kruskal MST, and no kept edge
     is redundant.  Every search runs in the spanner's own adjacency lists,
-    grown as edges are kept, and stops at the first detour within the
-    edge's allowance, so no distance is found exactly here: the spanner's
-    maximum stretch is verify_spanner_stretch's max_ratio.
+    grown as edges are kept (light to heavy, so each row stays in the
+    (weight, id) order BoundedSearch needs), and stops at the first detour
+    within the edge's allowance, so no distance is found exactly here: the
+    spanner's maximum stretch is verify_spanner_stretch's max_ratio.
     """
     eps = positive(epsilon, "epsilon")
     require_connected(g, "greedy_spanner")
@@ -50,11 +52,12 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     iw = g._iw
     ends = g._edges
     hadj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    within = BoundedSearch(hadj).within
     kept: list[int] = []
     for eid in sorted(range(m), key=lambda e: (iw[e], e)):
         u, v = ends[eid]
         w = iw[eid]
-        if _within(hadj, u, v, allowance[eid], exact=False) is None:
+        if within(u, v, allowance[eid], exact=False) is None:
             # distance exceeds (1+eps) * w: keep
             hadj[u].append((v, eid, w))
             hadj[v].append((u, eid, w))
@@ -67,6 +70,12 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
         lightness=_over_mst(h.weight(), mst_w),
         mst_weight=mst_w,
     )
+
+
+def _search_in(g: Graph, ids) -> BoundedSearch:
+    """A search over the edges in `ids` only: g's weight-ordered rows,
+    filtered."""
+    return BoundedSearch([[t for t in row if t[1] in ids] for row in weight_ordered_rows(g)])
 
 
 def lightness(g: Graph, h: EdgeSubset) -> Fraction:
@@ -116,7 +125,7 @@ def verify_spanner_stretch(g: Graph, h: EdgeSubset, epsilon) -> StretchReport:
     allowance = allowances(g, one_plus)
     iw = g._iw
     ids = h.ids
-    hadj = [[t for t in row if t[1] in ids] for row in g._adj]
+    within = _search_in(g, ids).within
     # ratios are kept as integer pairs (d_h, w(e))
     top_d, top_w = 1, 1
     worst = None
@@ -126,13 +135,13 @@ def verify_spanner_stretch(g: Graph, h: EdgeSubset, epsilon) -> StretchReport:
             continue  # the edge itself is a path of ratio 1
         w = iw[eid]
         pair = (u, v) if u < v else (v, u)
-        d = _within(hadj, u, v, allowance[eid], exact=False)
+        d = within(u, v, allowance[eid], exact=False)
         if w == 0:
             if d is None:
                 violations.append({"pair": pair, "why": "zero g-distance, positive h-distance"})
             continue
         if d is None:
-            d = _within(hadj, u, v, INF)
+            d = within(u, v, INF)
             if d is None:
                 violations.append({"pair": pair, "why": "pair disconnected in h"})
                 continue
@@ -140,7 +149,7 @@ def verify_spanner_stretch(g: Graph, h: EdgeSubset, epsilon) -> StretchReport:
                 {"pair": pair, "ratio": str(Fraction(d, w)), "allowed": str(one_plus)}
             )
         elif d * top_w > top_d * w:
-            d = _within(hadj, u, v, d)  # the detour may beat the maximum: make it exact
+            d = within(u, v, d)  # the detour may beat the maximum: make it exact
         if d * top_w > top_d * w:
             top_d, top_w = d, w
             worst = pair
@@ -178,11 +187,11 @@ def verify_spanner_minimality(g: Graph, h: EdgeSubset, epsilon) -> MinimalityRep
         raise ValueError("subset belongs to a different graph")
     allowance = allowances(g, one_plus)
     ids = h.ids
-    hadj = [[t for t in row if t[1] in ids] for row in g._adj]
+    within = _search_in(g, ids).within
     violations = []
     for eid in sorted(ids):
         u, v = g._edges[eid]
-        d = _within(hadj, u, v, allowance[eid], skip=eid)
+        d = within(u, v, allowance[eid], skip=eid)
         if d is not None:
             violations.append(
                 {"edge": eid, "detour": str(Fraction(d, g._scale)), "allowed": str(one_plus * g.weight(eid))}

@@ -298,9 +298,17 @@ class TestVerifyRows:
         for r in rows:
             assert set(r) == set(VERIFY_COLUMNS)
 
-    def test_parameter_required(self):
-        with pytest.raises(ValueError, match="verify needs at least one algorithm or epsilon"):
-            run_verify(ExperimentConfig(instances=[spec_of(COMB)]))
+    def test_no_parameter_yields_tsp_rows_only(self):
+        # the TSP rows need no delta and no epsilon: n = 8 gets both, the
+        # 12-vertex comb the sandwich only, and 25 points none
+        small = InstanceSpec("comb_lower_bound", {"k": 2, "delta": "1"})
+        rows = run_verify(ExperimentConfig(instances=[small, spec_of(COMB), spec_of(PLANAR)]))
+        assert [(r["instance"], r["check"]) for r in rows] == [
+            (small.label, "tsp_mst_sandwich"),
+            (small.label, "tsp_permutation_agreement"),
+            (spec_of(COMB).label, "tsp_mst_sandwich"),
+        ]
+        assert all(r["ok"] == "yes" and r["param"] == "" for r in rows)
 
     def test_permutation_check_skipped_when_large(self):
         cfg = ExperimentConfig(
@@ -462,6 +470,12 @@ class TestCliRoundTrips:
         _, rows = read_csv(out)
         assert rows and all(r["ok"] == "yes" for r in rows)
 
+    def test_verify_without_parameters_writes_tsp_rows(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main(["verify", "--instance", COMB, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [(r["check"], r["ok"]) for r in rows] == [("tsp_mst_sandwich", "yes")]
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         out = tmp_path / "rows.json"
         cfg = {
@@ -531,8 +545,37 @@ class TestCliErrors:
     def test_spanner_needs_epsilon(self):
         assert main(["spanner", "--instance", COMB]) == 2
 
-    def test_verify_needs_some_parameter(self):
-        assert main(["verify", "--instance", COMB]) == 2
+    @pytest.mark.parametrize("command,given", [
+        ("explore", ["--instance", GRID, "--delta", "1/0"]),
+        ("spanner", ["--instance", GRID, "--epsilon", "1/0"]),
+        ("verify", ["--instance", GRID, "--delta", "2", "--epsilon", "1/0"]),
+        ("gen", ["--instance", '{"family": "comb_lower_bound", "params": {"k": 3, "delta": "1/0"}}']),
+    ])
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys, monkeypatch, command, given):
+        batch = "build_instance" if command == "gen" else f"run_{command}"
+
+        def never(*args):
+            raise AssertionError(f"{batch} ran")
+
+        if command != "gen":  # gen meets the comb's delta in build_instance
+            monkeypatch.setattr(cli, batch, never)
+        out = tmp_path / "out.txt"
+        assert main([command, *given, "--out", str(out)]) == 2
+        assert "1/0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("epsilons", ["1/2", "1/0"]),
+        ("algorithms", [{"name": "blocking", "delta": "3/0"}]),
+    ])
+    def test_zero_denominator_in_config_is_parse_error(self, tmp_path, capsys, key, value):
+        cfg = {"instances": [json.loads(GRID)], key: value}
+        with pytest.raises(ParseError, match="zero denominator"):
+            ExperimentConfig.from_json_dict(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["verify", "--config", str(p)]) == 2
+        assert "bad experiment config" in capsys.readouterr().err
 
     def test_bad_delta_expression(self):
         assert main(["explore", "--instance", COMB, "--delta", "fast"]) == 2

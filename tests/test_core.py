@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from graphexplore.core import (
     INF,
+    BoundedSearch,
     DisjointSet,
     EdgeSubset,
     Graph,
     _dijkstra,
-    _within,
     allowances,
     as_fraction,
     connected_components,
@@ -21,6 +21,7 @@ from graphexplore.core import (
     mst_maximizing_overlap,
     require_connected,
     restrict,
+    weight_ordered_rows,
 )
 from graphexplore.errors import GraphStructureError
 from graphexplore.experiments import AlgorithmSpec, ExperimentConfig
@@ -75,6 +76,11 @@ class TestAsFraction:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             as_fraction(0.5)
+
+    @pytest.mark.parametrize("w", ["1/0", " -3/0 ", (1, 0), (0, 0)])
+    def test_zero_denominator_is_value_error(self, w):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_fraction(w)
 
 
 class TestGraphValidation:
@@ -320,13 +326,15 @@ def test_bounded_search_matches_full_dijkstra(seed):
     edges = [(rng.randrange(n), rng.randrange(n), rng.choice(weights)) for _ in range(rng.randint(0, 25))]
     g = Graph(n, [(a, b, w) for a, b, w in edges if a != b])
     keep = {e for e in range(g.edge_count) if rng.random() < 0.8}
-    adj = [[t for t in row if t[1] in keep] for row in g._adj]
+    search = BoundedSearch([[t for t in row if t[1] in keep] for row in weight_ordered_rows(g)])
     skip = rng.randrange(-1, g.edge_count) if g.edge_count else -1
-    u, v = rng.randrange(n), rng.randrange(n)
-    radius = INF if rng.random() < 0.2 else rng.randint(0, 8 * g._scale)
-    dist, _ = _dijkstra(g, u, edge_ok=lambda e: e in keep and e != skip)
-    expect = dist[v] if dist[v] <= radius else None
-    assert _within(adj, u, v, radius, skip) == (None if expect == INF else expect)
+    # several searches through one object: stale labels must not leak
+    for _ in range(3):
+        u, v = rng.randrange(n), rng.randrange(n)
+        radius = INF if rng.random() < 0.2 else rng.randint(0, 8 * g._scale)
+        dist, _ = _dijkstra(g, u, edge_ok=lambda e: e in keep and e != skip)
+        expect = dist[v] if dist[v] <= radius else None
+        assert search.within(u, v, radius, skip) == (None if expect == INF else expect)
 
 
 @settings(max_examples=200)
@@ -340,15 +348,16 @@ def test_bounded_search_radius_boundary(n, data):
     edges = data.draw(st.lists(st.tuples(ends, weights), max_size=4 * n))
     g = Graph(n, [(a, b, w) for (a, b), w in edges if a != b])
     skip = data.draw(st.integers(-1, g.edge_count - 1))
+    within = BoundedSearch(weight_ordered_rows(g)).within
     for u in range(n):
         dist, _ = _dijkstra(g, u, edge_ok=lambda e: e != skip)
         for v in range(n):
             d = dist[v]
             if d == INF:
-                assert _within(g._adj, u, v, INF, skip) is None
+                assert within(u, v, INF, skip) is None
                 continue
-            assert _within(g._adj, u, v, d, skip) == d
-            assert _within(g._adj, u, v, d - 1, skip) is None
+            assert within(u, v, d, skip) == d
+            assert within(u, v, d - 1, skip) is None
 
 
 @settings(max_examples=200)
@@ -363,20 +372,38 @@ def test_early_exit_search_contract(n, data):
     g = Graph(n, [(a, b, w) for (a, b), w in edges if a != b])
     skip = data.draw(st.integers(-1, g.edge_count - 1))
     radii = data.draw(st.lists(st.integers(0, 8 * g._scale), min_size=1, max_size=4))
+    within = BoundedSearch(weight_ordered_rows(g)).within
     for u in range(n):
         dist, _ = _dijkstra(g, u, edge_ok=lambda e: e != skip)
         for v in range(n):
             d = dist[v]
             rs = radii + ([INF] if d == INF else [d, d - 1, INF])
             for r in rs:
-                exact = _within(g._adj, u, v, r, skip)
-                early = _within(g._adj, u, v, r, skip, exact=False)
+                exact = within(u, v, r, skip)
+                early = within(u, v, r, skip, exact=False)
                 if exact is None:
                     assert early is None
                 else:
                     assert exact == d and d <= early <= r
             if d != INF:
-                assert _within(g._adj, u, v, d, skip, exact=False) == d
+                assert within(u, v, d, skip, exact=False) == d
+
+
+@settings(max_examples=100)
+@given(n=st.integers(min_value=1, max_value=12), data=st.data())
+def test_weight_ordered_rows_hold_the_adjacency(n, data):
+    # zero weights, ties and parallel edges: each row is g._adj's row,
+    # entry for entry, sorted by (weight, edge id), and built once
+    weights = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), 3])
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = data.draw(st.lists(st.tuples(ends, weights), max_size=4 * n))
+    g = Graph(n, [(a, b, w) for (a, b), w in edges if a != b])
+    rows = weight_ordered_rows(g)
+    assert len(rows) == n
+    for row, adj_row in zip(rows, g._adj):
+        assert sorted(row) == sorted(adj_row)
+        assert [(w, e) for _, e, w in row] == sorted((w, e) for _, e, w in adj_row)
+    assert weight_ordered_rows(g) is rows
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=50, max_denominator=60), max_size=12))

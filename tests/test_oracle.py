@@ -190,6 +190,40 @@ def test_huge_weights_stay_exact(seed):
     assert tour_cost_replay(g, t.order) == t.cost
 
 
+NEAR_2_31 = [1, 3, 2**27 + 1, 2**30 - 1, 2**31 - 1, 2**31, 2**31 + 1, Fraction(2**31 + 1, 3)]
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_distances_straddling_2_31_stay_exact(seed):
+    # closure distances on both sides of 2^31: the table runs in int32 only
+    # when every sum it forms stays below 2^31, and in int64 otherwise
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    edges = [(rng.randrange(i), i, rng.choice(NEAR_2_31)) for i in range(1, n)]
+    for _ in range(rng.randint(0, 5)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(NEAR_2_31)))
+    g = Graph(n, edges)
+    start = rng.randrange(n)
+    t = exact_tsp(g, start)
+    assert (t.cost, t.order) == list_held_karp(g, start)
+    assert tour_cost_replay(g, t.order) == t.cost
+
+
+_W_INT32_MAX = (2**31 // 10 - 1) // 7
+
+
+@pytest.mark.parametrize("w", [_W_INT32_MAX, _W_INT32_MAX + 1, 2 * _W_INT32_MAX])
+def test_int32_check_boundary_is_exact(w):
+    # an 8-vertex path: its end-to-end distance 7w is the closure's largest,
+    # and (7w + 1) * (8 + 2) < 2^31 holds for the first weight only
+    g = Graph(8, [(i, i + 1, w) for i in range(7)])
+    t = exact_tsp(g, 3)
+    assert t.cost == 14 * w == brute_force_exploration(g, 3).cost
+    assert (t.cost, t.order) == list_held_karp(g, 3)
+
+
 _W_INT64_MAX = (2**62 // 10 - 1) // 7
 
 

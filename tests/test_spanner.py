@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphexplore.core import (
+    BoundedSearch,
     EdgeSubset,
     Graph,
     _dijkstra,
@@ -25,7 +26,6 @@ from graphexplore.instances import (
     gen_toroidal_grid,
 )
 from graphexplore.oracle import brute_force_optspan, brute_force_optspan_edges
-import graphexplore.spanner as spanner_module
 from graphexplore.spanner import (
     greedy_spanner,
     lightness,
@@ -286,13 +286,13 @@ class TestSearchWork:
         # exactly, and the check few of them
         g = build_instance(InstanceSpec("erdos_renyi", {"n": 200, "p": "1/5"}, 0)).graph
         exact_calls = [0]
-        within = spanner_module._within
+        within = BoundedSearch.within
 
-        def counting(*args, **kwargs):
+        def counting(self, *args, **kwargs):
             exact_calls[0] += kwargs.get("exact", True)
-            return within(*args, **kwargs)
+            return within(self, *args, **kwargs)
 
-        monkeypatch.setattr(spanner_module, "_within", counting)
+        monkeypatch.setattr(BoundedSearch, "within", counting)
         r = greedy_spanner(g, eps)
         assert exact_calls[0] == 0
         assert verify_spanner_stretch(g, r.edges, eps).ok

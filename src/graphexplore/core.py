@@ -211,16 +211,20 @@ class BoundedSearch:
     scaled weight)), may hold only some of a graph's edges, and must keep
     each row in (weight, id) order, as weight_ordered_rows(g) does.  The
     object keeps a reference to `rows`, so an edge appended in order to
-    two rows between searches is seen by the next one.  Its per-vertex
-    labels are stamped with the search that wrote them, so a search starts
-    without clearing or allocating anything but its two heaps.
+    two rows between searches is seen by the next one.  `floor` is the
+    lightest weight the rows can ever hold, min(g._iw, default=0) for rows
+    drawn from g; a search uses it as a lower bound on any one edge.  Its
+    per-vertex labels are stamped with the search that wrote them, so a
+    search starts without clearing or allocating anything but its two
+    heaps.
     """
 
-    __slots__ = ("rows", "_stamp", "_seen_u", "_seen_v", "_dist_u", "_dist_v")
+    __slots__ = ("rows", "floor", "_stamp", "_seen_u", "_seen_v", "_dist_u", "_dist_v")
 
-    def __init__(self, rows):
+    def __init__(self, rows, floor: int):
         n = len(rows)
         self.rows = rows
+        self.floor = floor
         self._stamp = 0
         self._seen_u = [0] * n  # x is labelled from u when _seen_u[x] == _stamp
         self._seen_v = [0] * n
@@ -235,19 +239,30 @@ class BoundedSearch:
         distance.  Heap entries are (distance, vertex) tuples: scaled
         distances reach 2^34 on planar instances, where a one-int key d * n
         + x would need multi-digit division on every pop.  Every relaxed
-        edge that meets the other ball's labels offers a u-v path; once the
-        two frontier distances sum to at least the best such path, that
-        path is shortest, and once they sum past `radius`, no path is
-        within it.
+        edge that meets the other ball's labels offers a u-v path.  The
+        search stops once a lower bound on every path not found yet reaches
+        the best one found, which is then shortest, or passes `radius`.
+
+        That bound is the frontier sum du + dv tightened by two exact terms:
+        1. Until v is expanded, every path into v ends with an edge other
+           than `skip`, so v's side counts as v's lightest such row weight
+           (INF if there is none) instead of dv = 0.
+        2. Once both ends are expanded, a shortest path not met yet either
+           meets at a vertex both sides labelled, or exceeds `radius` where
+           a push limit cut it, or has an edge that neither side has settled
+           either end of: it costs at least du + floor + dv.
+        The side to pop is still chosen on the real dv (forward while
+        du <= dv), so v is expanded right after u; letting bound 1 stand in
+        for dv there would put off expanding v while u's side grows.
 
         Rows are in weight order, so a relaxation stops at the first entry
         whose distance passes `radius`.  Frontier pruning: a neighbour the
         other ball has not labelled yet is pushed only if its distance plus
-        the other frontier's distance is within `radius`, since frontier
-        distances never fall and the other ball can label it no nearer than
-        that.  A labelled neighbour is first recorded as a meeting, then
-        pushed (it is within `radius`).  So the cost is local to two balls
-        of about half the radius.
+        the other side's share of the bound (its frontier distance, or bound
+        1 for v's side) is within `radius`, since the other ball can label
+        it no nearer than that.  A labelled neighbour is first recorded as a
+        meeting, then pushed (it is within `radius`).  So the cost is local
+        to two balls of about half the radius.
 
         With exact=False the search returns at the first meeting on a u-v
         path of length <= radius, with that length: an upper bound on the
@@ -259,6 +274,11 @@ class BoundedSearch:
         if u == v:
             return 0 if radius >= 0 else None
         rows = self.rows
+        hv = INF  # v's side of the bound: bound 1 until v is expanded, then dv
+        for _, eid, w in rows[v]:
+            if eid != skip:
+                hv = w
+                break
         self._stamp = stamp = self._stamp + 1
         seen_u, seen_v = self._seen_u, self._seen_v
         dist_u, dist_v = self._dist_u, self._dist_v
@@ -266,11 +286,13 @@ class BoundedSearch:
         dist_u[u] = dist_v[v] = 0
         heap_u, heap_v = [(0, u)], [(0, v)]
         du = dv = 0  # frontier distances: heap_u[0][0] and heap_v[0][0]
+        gap = 0  # floor once both ends are expanded: bound 2
+        low = hv  # du + hv + gap: no path not found yet is shorter
         best = INF
-        while du + dv < best and du + dv <= radius:
+        while low < best and low <= radius:
             forward = du <= dv
             if forward:
-                heap, seen, mine, oseen, other, lim = heap_u, seen_u, dist_u, seen_v, dist_v, radius - dv
+                heap, seen, mine, oseen, other, lim = heap_u, seen_u, dist_u, seen_v, dist_v, radius - hv
             else:
                 heap, seen, mine, oseen, other, lim = heap_v, seen_v, dist_v, seen_u, dist_u, radius - du
             d, x = heappop(heap)
@@ -297,7 +319,9 @@ class BoundedSearch:
             if forward:
                 du = heap[0][0]
             else:
-                dv = heap[0][0]
+                hv = dv = heap[0][0]
+                gap = self.floor
+            low = du + hv + gap
         return None if best == INF or best > radius else best
 
 

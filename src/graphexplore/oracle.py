@@ -180,10 +180,11 @@ def brute_force_optspan_edges(g: Graph, epsilon) -> EdgeSubset:
     best_w = total_w
 
     rows = weight_ordered_rows(g)
+    floor = min(iw, default=0)
 
     def feasible(removed: list[int]) -> bool:
         gone = set(removed)
-        within = BoundedSearch([[t for t in row if t[1] not in gone] for row in rows]).within
+        within = BoundedSearch([[t for t in row if t[1] not in gone] for row in rows], floor).within
         # the newest removal is the likeliest to fail, so it is tried first
         return all(
             within(*ends[e], allowance[e], exact=False) is not None

@@ -52,7 +52,7 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
     iw = g._iw
     ends = g._edges
     hadj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    within = BoundedSearch(hadj).within
+    within = BoundedSearch(hadj, min(iw, default=0)).within
     kept: list[int] = []
     for eid in sorted(range(m), key=lambda e: (iw[e], e)):
         u, v = ends[eid]
@@ -74,8 +74,9 @@ def greedy_spanner(g: Graph, epsilon) -> SpannerResult:
 
 def _search_in(g: Graph, ids) -> BoundedSearch:
     """A search over the edges in `ids` only: g's weight-ordered rows,
-    filtered."""
-    return BoundedSearch([[t for t in row if t[1] in ids] for row in weight_ordered_rows(g)])
+    filtered, with g's lightest weight as the floor."""
+    rows = [[t for t in row if t[1] in ids] for row in weight_ordered_rows(g)]
+    return BoundedSearch(rows, min(g._iw, default=0))
 
 
 def lightness(g: Graph, h: EdgeSubset) -> Fraction:

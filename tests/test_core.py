@@ -315,18 +315,30 @@ def test_distances_satisfy_edge_relaxation_property(seed):
         assert dist[u] <= dist[v] + g._iw[eid]
 
 
+# weight sets for the search tests: with zeros the floor is 0; without,
+# BoundedSearch stops on du + floor + dv once both ends are expanded
+SEARCH_WEIGHTS = [
+    [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), 3],
+    [Fraction(1), Fraction(1, 2), Fraction(2, 3), 3],
+    [Fraction(2), Fraction(3)],
+    [Fraction(1)],
+]
+
+
 @settings(max_examples=200)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_bounded_search_matches_full_dijkstra(seed):
-    # random sub-adjacency with zero weights and parallel edges, random
-    # radius (sometimes unbounded) and skipped edge
+    # random sub-adjacency with parallel edges, zero weights or none, random
+    # radius (sometimes unbounded) and skipped edge; the floor is the whole
+    # graph's lightest weight, which the kept rows may not hold
     rng = random.Random(seed)
     n = rng.randint(2, 12)
-    weights = [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(4)]
+    weights = rng.choice(SEARCH_WEIGHTS)
     edges = [(rng.randrange(n), rng.randrange(n), rng.choice(weights)) for _ in range(rng.randint(0, 25))]
     g = Graph(n, [(a, b, w) for a, b, w in edges if a != b])
     keep = {e for e in range(g.edge_count) if rng.random() < 0.8}
-    search = BoundedSearch([[t for t in row if t[1] in keep] for row in weight_ordered_rows(g)])
+    rows = [[t for t in row if t[1] in keep] for row in weight_ordered_rows(g)]
+    search = BoundedSearch(rows, min(g._iw, default=0))
     skip = rng.randrange(-1, g.edge_count) if g.edge_count else -1
     # several searches through one object: stale labels must not leak
     for _ in range(3):
@@ -341,14 +353,14 @@ def test_bounded_search_matches_full_dijkstra(seed):
 @given(n=st.integers(min_value=2, max_value=30), data=st.data())
 def test_bounded_search_radius_boundary(n, data):
     # every pair's exact distance, u == v included, is found at radius d and
-    # missed at d - 1, on graphs with zero weights, parallel edges and a
-    # skipped edge
-    weights = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), 3])
+    # missed at d - 1, on graphs with parallel edges, a skipped edge, and
+    # zero weights or a positive floor
+    weights = st.sampled_from(data.draw(st.sampled_from(SEARCH_WEIGHTS)))
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = data.draw(st.lists(st.tuples(ends, weights), max_size=4 * n))
     g = Graph(n, [(a, b, w) for (a, b), w in edges if a != b])
     skip = data.draw(st.integers(-1, g.edge_count - 1))
-    within = BoundedSearch(weight_ordered_rows(g)).within
+    within = BoundedSearch(weight_ordered_rows(g), min(g._iw, default=0)).within
     for u in range(n):
         dist, _ = _dijkstra(g, u, edge_ok=lambda e: e != skip)
         for v in range(n):
@@ -365,14 +377,14 @@ def test_bounded_search_radius_boundary(n, data):
 def test_early_exit_search_contract(n, data):
     # exact=False finds a detour iff the exact search does, reports a length
     # between the distance and the radius, and the distance at radius d;
-    # u == v is included
-    weights = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), 3])
+    # u == v is included, and the weights hold zeros or a positive floor
+    weights = st.sampled_from(data.draw(st.sampled_from(SEARCH_WEIGHTS)))
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = data.draw(st.lists(st.tuples(ends, weights), max_size=4 * n))
     g = Graph(n, [(a, b, w) for (a, b), w in edges if a != b])
     skip = data.draw(st.integers(-1, g.edge_count - 1))
     radii = data.draw(st.lists(st.integers(0, 8 * g._scale), min_size=1, max_size=4))
-    within = BoundedSearch(weight_ordered_rows(g)).within
+    within = BoundedSearch(weight_ordered_rows(g), min(g._iw, default=0)).within
     for u in range(n):
         dist, _ = _dijkstra(g, u, edge_ok=lambda e: e != skip)
         for v in range(n):

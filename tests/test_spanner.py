@@ -16,12 +16,15 @@ from graphexplore.errors import (
     DegenerateInstanceError,
     GraphStructureError,
 )
+import graphexplore.core as core
 import graphexplore.experiments as experiments
 from graphexplore.experiments import SPANNER_CHECKS, AlgorithmSpec, spanner_row
+from graphexplore.exploration import ExplorationParams, run_blocking, verify_blocking_cycle_property
 from graphexplore.instances import (
     BuiltInstance,
     InstanceSpec,
     build_instance,
+    gen_comb_lower_bound,
     gen_random_planar,
     gen_toroidal_grid,
 )
@@ -297,6 +300,40 @@ class TestSearchWork:
         assert exact_calls[0] == 0
         assert verify_spanner_stretch(g, r.edges, eps).ok
         assert exact_calls[0] <= 100
+
+    @staticmethod
+    def count_pops(monkeypatch) -> list[int]:
+        pops = [0]
+        heappop = core.heappop
+
+        def counting(heap):
+            pops[0] += 1
+            return heappop(heap)
+
+        monkeypatch.setattr(core, "heappop", counting)
+        return pops
+
+    def test_searches_stop_on_both_lower_bounds(self, monkeypatch):
+        # greedy plus minimality on G(200, 1/5) at eps=1/2 pop 10,109 heap
+        # entries; stopping on the frontier sum du + dv alone pops 38,329,
+        # and choosing sides by v's lower bound instead of its frontier 13,123
+        g = build_instance(InstanceSpec("erdos_renyi", {"n": 200, "p": "1/5"}, 0)).graph
+        pops = self.count_pops(monkeypatch)
+        r = greedy_spanner(g, Fraction(1, 2))
+        assert verify_spanner_minimality(g, r.edges, Fraction(1, 2)).ok
+        assert pops[0] <= 11_600
+
+    def test_far_end_is_expanded_right_after_the_near_one(self, monkeypatch):
+        # on the comb every edge is a bridge and a leaf's only edge is the
+        # skipped one, so a leaf's lower bound is INF: the cycle check pops
+        # 2,093 entries at k=300, within 2m.  A bound that counts the skipped
+        # edge pops 3,295, and 63,794 if it also chooses the side to pop,
+        # which puts off expanding the leaf while u's side walks the comb
+        g = gen_comb_lower_bound(300, 2)
+        log = run_blocking(g, ExplorationParams(delta=2))
+        pops = self.count_pops(monkeypatch)
+        assert verify_blocking_cycle_property(g, log, 2).ok
+        assert pops[0] <= 2 * g.edge_count
 
 
 class TestMinimality:
